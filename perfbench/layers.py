@@ -84,8 +84,11 @@ METRICS = [
     ("index.reopens", "count", "lower"),
 ]
 
-# Self-time slack: per-thread self times must sum to the traced wall
-# time of the thread's root spans within this share plus SLACK_S.
+# Self-time slack, against wall times taken outside the span code: each
+# thread's self times fit its lifetime (``Thread.run``, or process start
+# to exit for the main thread), and the main thread's self times inside
+# each phase worker.py timed sum to that phase, within this share of the
+# length plus SLACK_S.
 SLACK_SHARE = 0.005
 SLACK_S = 0.002
 
@@ -110,7 +113,7 @@ def derive(dumps: Sequence[dict], sweep_pass: dict, counters: Dict[str, object],
     """
     spans: List[dict] = []
     self_of: Dict[object, float] = {}
-    thread_checks = []
+    thread_checks, phase_checks = [], []
     counts: Dict[str, int] = {}
     for dump in dumps:
         these = _spans(dump)
@@ -126,11 +129,16 @@ def derive(dumps: Sequence[dict], sweep_pass: dict, counters: Dict[str, object],
         by_thread: Dict[object, List[dict]] = {}
         for span in these:
             by_thread.setdefault(span["thread"], []).append(span)
+        lifetimes = {(dump["pid"], int(k)): v for k, v in dump["threads"].items()}
         for thread, group in by_thread.items():
-            roots = [(s["start"], s["end"]) for s in group if s["parent"] is None]
-            wall = stats.union_length(roots)
-            total = sum(selfs[s["id"]] for s in group)
-            thread_checks.append(abs(total - wall) <= SLACK_SHARE * wall + SLACK_S)
+            life = lifetimes.get(thread)
+            thread_checks.append(
+                life is not None
+                and stats.fits_lifetime(group, selfs, life, SLACK_SHARE, SLACK_S)
+            )
+        main = by_thread.get((dump["pid"], dump["main_thread"]), [])
+        for phase in dump["phases"].values():
+            phase_checks.append(stats.covers_phase(main, selfs, phase, SLACK_SHARE, SLACK_S))
 
     def named(*names):
         return [s for s in spans if s["name"] in names]
@@ -274,8 +282,10 @@ def derive(dumps: Sequence[dict], sweep_pass: dict, counters: Dict[str, object],
         "cache_gets_match": len(gets) == cache.get("hits", 0) + cache.get("misses", 0),
         "streamed_sequences_match": counts.get("encoder.streamed_sequences", 0)
         == pipeline.get("sequences", 0),
-        "per_thread_self_time": all(thread_checks),
+        "thread_self_time_fits_lifetime": all(thread_checks),
+        "main_self_time_covers_phases": bool(phase_checks) and all(phase_checks),
         "threads_checked": len(thread_checks),
+        "phases_checked": len(phase_checks),
     }
     if service:
         checks["client_hits_match"] = client.get("hits", 0) == service["cache"]["hits"]

@@ -84,6 +84,36 @@ def self_times(spans: Sequence[Dict[str, object]]) -> Dict[object, float]:
     }
 
 
+def fits_lifetime(spans: Sequence[Dict[str, object]], selfs: Dict[object, float],
+                  life: Sequence[float], share: float, seconds: float) -> bool:
+    """Whether one thread's spans fit the thread's lifetime, timed apart from them.
+
+    Every span must lie inside ``life`` (within ``seconds``), and the self
+    times of the spans must sum to no more than its length plus a slack
+    of ``share`` of it plus ``seconds``: a span recorded twice, or on the
+    wrong thread or clock, breaks one of the two.
+    """
+    start, end = life
+    length = end - start
+    inside = all(s["start"] >= start - seconds and s["end"] <= end + seconds for s in spans)
+    total = sum(selfs[s["id"]] for s in spans)
+    return inside and total <= length + share * length + seconds
+
+
+def covers_phase(spans: Sequence[Dict[str, object]], selfs: Dict[object, float],
+                 phase: Sequence[float], share: float, seconds: float) -> bool:
+    """Whether the self times of a thread's spans inside a timed phase sum to it.
+
+    ``phase`` is a ``[start, end]`` the caller timed around a traced root
+    span; a lost root leaves the phase's gaps uncovered, a span recorded
+    twice counts its time twice.
+    """
+    start, end = phase
+    length = end - start
+    total = sum(selfs[s["id"]] for s in spans if s["start"] >= start and s["end"] <= end)
+    return abs(total - length) <= share * length + seconds
+
+
 # -- open loop -------------------------------------------------------------
 
 
@@ -120,28 +150,57 @@ def backlog_growing(
 # -- the rate ladder -------------------------------------------------------
 
 
+def step_passes(step: Dict[str, object], limit_ms: float) -> bool:
+    """Whether a ladder step met the latency limit with no 429 and no backlog.
+
+    A step has a characterize-miss p90 (``None`` when it drew too few
+    misses, which fails it) under ``limit_ms``, drew no 429 and no other
+    failed request, its backlog did not grow and it sent its whole
+    schedule.
+    """
+    p90 = step.get("miss_p90_ms")
+    return (
+        p90 is not None
+        and p90 < limit_ms
+        and not step.get("rejected")
+        and not step.get("errors")
+        and not step.get("growing")
+        and not step.get("unsent")
+    )
+
+
 def ladder_max_rate(
     steps: Sequence[Dict[str, object]], limit_ms: float
 ) -> Optional[Dict[str, object]]:
-    """The highest step of the ladder's passing prefix.
+    """The highest passing step below every failing one.
 
-    A step passes when it has a characterize-miss p90 (``None`` when the
-    step drew too few misses) under ``limit_ms``, it drew no 429 and its
-    backlog did not grow.  Steps are
-    taken in increasing rate; the first failure ends the climb, so a lucky
-    pass above a failed step does not count.  ``None`` when the first step
-    fails.
+    Steps are taken in increasing rate; the first failure ends the
+    passing prefix, so a lucky pass above a failed step does not count.
+    ``None`` when the lowest step fails.
     """
     best = None
     for step in sorted(steps, key=lambda s: s["rate"]):
-        p90 = step.get("miss_p90_ms")
-        ok = (
-            p90 is not None
-            and p90 < limit_ms
-            and not step.get("rejected")
-            and not step.get("growing")
-        )
-        if not ok:
+        if not step_passes(step, limit_ms):
             break
         best = step
     return best
+
+
+def ladder_next_rate(
+    steps: Sequence[Dict[str, object]], limit_ms: float, factor: float
+) -> Optional[float]:
+    """The rate of the ladder's next step, or ``None`` when it cannot refine.
+
+    While every step passed, the ladder climbs: the highest rate times
+    ``factor``.  Once a step failed, it bisects (geometric midpoint)
+    between the highest passing rate below the lowest failure and that
+    failure, so each further step halves the ratio that brackets the
+    saturation rate.  ``None`` when the lowest step failed.
+    """
+    best = ladder_max_rate(steps, limit_ms)
+    if best is None:
+        return None
+    failed = [s["rate"] for s in steps if not step_passes(s, limit_ms)]
+    if not failed:
+        return max(s["rate"] for s in steps) * factor
+    return math.sqrt(best["rate"] * min(failed))

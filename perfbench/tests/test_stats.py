@@ -66,6 +66,25 @@ def test_self_times_of_a_nested_tree_sum_to_the_root():
     assert sum(stats.self_times(spans).values()) == pytest.approx(10.0)
 
 
+def test_thread_spans_must_fit_the_lifetime_timed_outside_them():
+    spans = [_span(1, None, 1.0, 4.0), _span(2, 1, 2.0, 3.0), _span(3, None, 5.0, 6.0)]
+    selfs = stats.self_times(spans)
+    assert stats.fits_lifetime(spans, selfs, (0.5, 7.0), 0.005, 0.002)
+    # The same root recorded twice sums to more than the thread lived.
+    doubled = spans + [_span(4, None, 1.0, 4.0), _span(5, None, 1.0, 4.0)]
+    assert not stats.fits_lifetime(doubled, stats.self_times(doubled), (0.5, 7.0), 0.005, 0.002)
+    # A span outside the thread's lifetime sits on the wrong thread or clock.
+    assert not stats.fits_lifetime(spans, selfs, (1.5, 7.0), 0.005, 0.002)
+
+
+def test_main_thread_self_times_must_cover_each_timed_phase():
+    spans = [_span(1, None, 10.0, 20.0), _span(2, 1, 11.0, 15.0), _span(3, 2, 12.0, 13.0)]
+    assert stats.covers_phase(spans, stats.self_times(spans), (9.999, 20.001), 0.005, 0.002)
+    # Without its root the phase is covered only where the children ran.
+    lost = spans[1:]
+    assert not stats.covers_phase(lost, stats.self_times(lost), (9.999, 20.001), 0.005, 0.002)
+
+
 def test_union_length_merges_touching_and_nested_intervals():
     assert stats.union_length([(0, 2), (2, 3), (5, 6), (5.5, 5.7)]) == pytest.approx(4.0)
     assert stats.union_length([]) == 0.0
@@ -108,15 +127,40 @@ def test_ladder_takes_the_highest_passing_prefix_step():
     assert best["rate"] == 20  # 40 passed only after 30 failed: not counted
 
 
-def test_ladder_fails_on_429_growth_or_unsupported_p90():
+def test_ladder_fails_on_429_error_growth_abandonment_or_unsupported_p90():
     assert stats.ladder_max_rate([_step(10, 50.0), _step(20, 60.0, rejected=1)], 250.0)["rate"] == 10
+    failed = dict(_step(20, 60.0), errors=1)
+    assert stats.ladder_max_rate([_step(10, 50.0), failed], 250.0)["rate"] == 10
     assert stats.ladder_max_rate([_step(10, 50.0), _step(20, 60.0, growing=True)], 250.0)["rate"] == 10
+    abandoned = dict(_step(20, 60.0), unsent=5)
+    assert stats.ladder_max_rate([_step(10, 50.0), abandoned], 250.0)["rate"] == 10
     assert stats.ladder_max_rate([_step(10, None)], 250.0) is None
 
 
 def test_ladder_orders_steps_by_rate():
     steps = [_step(30, 60.0), _step(10, 50.0), _step(20, 55.0)]
     assert stats.ladder_max_rate(steps, 250.0)["rate"] == 30
+
+
+def test_ladder_climbs_geometrically_until_a_step_fails():
+    assert stats.ladder_next_rate([_step(64, 50.0)], 250.0, 1.25) == pytest.approx(80.0)
+    steps = [_step(64, 50.0), _step(80, 60.0)]
+    assert stats.ladder_next_rate(steps, 250.0, 1.25) == pytest.approx(100.0)
+    # The lowest step failed: there is nothing to climb from or refine.
+    assert stats.ladder_next_rate([_step(64, 300.0)], 250.0, 1.25) is None
+
+
+def test_ladder_bisects_between_the_best_pass_and_the_lowest_failure():
+    steps = [_step(64, 50.0), _step(80, 60.0), _step(100, 400.0)]
+    mid = stats.ladder_next_rate(steps, 250.0, 1.25)
+    assert mid == pytest.approx((80 * 100) ** 0.5)
+    # A passing midpoint raises the bracket's floor, a failing one lowers its top.
+    assert stats.ladder_next_rate(steps + [_step(mid, 90.0)], 250.0, 1.25) == pytest.approx(
+        (mid * 100) ** 0.5)
+    assert stats.ladder_next_rate(steps + [_step(mid, 90.0, rejected=2)], 250.0, 1.25) == (
+        pytest.approx((80 * mid) ** 0.5))
+    # A failure ends the passing prefix: the max rate is the last pass below it.
+    assert stats.ladder_max_rate(steps + [_step(mid, 90.0)], 250.0)["rate"] == mid
 
 
 def test_step_summary_verdict_needs_enough_misses():
@@ -133,3 +177,33 @@ def test_step_summary_verdict_needs_enough_misses():
     assert summary["miss_p90_ms"] == pytest.approx(20.0)
     # 100 requests from the first due time (0.0) to the last reply (0.992).
     assert summary["served_rps"] == pytest.approx(100 / 0.992)
+
+
+def test_drain_fails_only_the_jobs_still_unfinished_at_its_deadline():
+    import collections
+    import time
+
+    import traffic
+
+    class Client:
+        def __init__(self):
+            self.waits = []
+
+        def job(self, job_id, wait=0.0):
+            self.waits.append(wait)
+            if job_id == "stuck":
+                return {"status": "running"}
+            return {"status": "done", "result": {"cells": []}}
+
+    stuck, done = {"job_id": "stuck"}, {"job_id": "done"}
+    client = Client()
+    # The deadline has passed: each job gets one poll that does not wait.
+    traffic.Traffic._resolve(None, client, collections.deque([stuck, done]),
+                             time.perf_counter() - 1.0, drain=True)
+    assert client.waits == [0.0, 0.0]
+    assert stuck["error"].startswith("job unfinished") and "result" not in stuck
+    assert done["result"] == {"cells": []} and "error" not in done
+    # Without drain, a passed deadline leaves the jobs outstanding.
+    waiting = collections.deque([{"job_id": "stuck"}])
+    traffic.Traffic._resolve(None, client, waiting, time.perf_counter() - 1.0)
+    assert len(waiting) == 1 and "error" not in waiting[0]

@@ -7,6 +7,11 @@ call records a span: name, start, end, thread, parent span, and the cell
 ``(model, property)`` or service job that caused it.  Work the program
 hands to another thread starts a new root span there.  Spans stay in
 memory until ``dump()`` writes them once, at the end of the run.
+
+Threads are named by their native id, which the kernel does not reuse
+within a run, and each thread's lifetime is recorded by a wrapper around
+``threading.Thread.run``, outside the span code, so the self-checks can
+hold the spans of a thread against a clock the spans did not set.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ _ids = itertools.count(1)
 _local = threading.local()
 SPANS: List[list] = []  # [id, parent, name, thread, start, end, ctx, extra]
 COUNTS: Dict[str, int] = {}
+THREADS: Dict[int, list] = {}  # native id -> [start, end] of Thread.run
 
 
 def _stack() -> list:
@@ -50,7 +56,7 @@ def span_call(name: str, fn: Callable, args, kwargs, *, ctx=None, extra=None):
         stack.pop()
         info = extra(args, kwargs, result) if extra is not None else None
         SPANS.append(
-            [sid, parent[0] if parent else None, name, threading.get_ident(),
+            [sid, parent[0] if parent else None, name, threading.get_native_id(),
              start, end, context, info]
         )
 
@@ -166,11 +172,26 @@ def _job_ctx(args, kwargs):
 
 # -- installation ------------------------------------------------------------
 
+
+def _track_threads() -> None:
+    original = threading.Thread.run
+
+    def run(self):
+        life = THREADS[threading.get_native_id()] = [time.perf_counter(), None]
+        try:
+            original(self)
+        finally:
+            life[1] = time.perf_counter()
+
+    threading.Thread.run = run
+
+
 MEASURES = ("cosine_similarity", "spearman", "albert_zhang_mcv", "average_overlap_at_k")
 
 
 def install() -> None:
     """Wrap every hooked entry point (call before building the program)."""
+    _track_threads()
     mod = importlib.import_module
     framework = mod("repro.core.framework")
     obs = framework.Observatory
@@ -260,9 +281,18 @@ def root(name: str, fn: Callable, *args, **kwargs):
     return span_call(name, fn, args, kwargs)
 
 
-def dump(path: str, process: str) -> None:
-    """Write every span and count recorded in this process, once."""
+def dump(path: str, process: str, started: float, phases: Dict[str, list]) -> None:
+    """Write every span, count and thread lifetime of this process, once.
+
+    ``started`` is the process's start on the span clock; ``phases`` maps
+    a phase name to the ``[start, end]`` its caller timed around it.
+    """
+    now = time.perf_counter()
+    threads = {ident: [start, end if end is not None else now]
+               for ident, (start, end) in THREADS.items()}
+    threads[threading.main_thread().native_id] = [started, now]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"process": process, "pid": os.getpid(), "spans": SPANS,
-                   "counts": COUNTS}, handle)
-
+                   "counts": COUNTS, "threads": threads,
+                   "main_thread": threading.main_thread().native_id,
+                   "phases": phases}, handle)

@@ -6,16 +6,27 @@ stream in due order from a seeded Poisson schedule.  A thread still busy
 when its next request falls due makes that request late; latency is timed
 from the due time, so the wait counts.  Characterize requests are drawn
 Zipf-like from a combination space larger than the service's result
-cache, so hits and misses both persist.  Index queries go by vector,
-split between ``prune="off"`` and ``"probe"``; appends upload a fresh
-table and append its columns by ``table_id``.
+cache, so hits and misses both persist.  A characterize submit does not
+wait for its job, so the offered load reaches the admission queue: at
+the nominal rate the sending thread waits on its oldest outstanding job
+in the gaps before its next send; on the ladder, which sends no index
+traffic, the second thread waits on the jobs in admission order while
+the first only sends.  Index queries go by vector, split between
+``prune="off"`` and ``"probe"``; appends upload a fresh table and append
+its columns by ``table_id``.
+
+The mix is assumed, not measured: the program has no recorded traffic.
+See "Assumed traffic" in README.md for each setting, its source where one
+exists, and the input shares it fixes.
 """
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
 import os
+import queue
 import shutil
 import threading
 import time
@@ -28,7 +39,9 @@ import stats
 # Two request streams, each sent on its own connection by its own thread:
 # characterize requests, and index traffic (queries plus appends).  Rates
 # are requests per second; within a stream, kinds take exact shares of
-# each schedule's arrivals.
+# each schedule's arrivals.  Every value below is assumed; README.md
+# ("Assumed traffic") gives each one's source where it has one, and the
+# share of the ladder's measured saturation rate that CHAR_RATE is.
 CHAR_RATE = 66.0
 INDEX_RATE = 52.0
 INDEX_MIX = {"query_off": 0.2, "query_probe": 0.78, "append": 0.02}
@@ -42,18 +55,33 @@ INDEX_ROWS = 20000
 INDEX_CLUSTERS = 40
 APPEND_MODEL = "t5"
 # Fixed limit of the ladder: a step passes while the characterize-miss
-# p90 stays under it, with no 429 and no growing backlog.  Quiet runs sit
-# near 60 ms; bursts of host CPU steal push a passing step to 360 ms.
+# p90 stays under it, with no 429 and no growing backlog.
 MISS_P90_LIMIT_MS = 500.0
 # Lateness growth across a step, in seconds, that counts as a backlog.
 BACKLOG_SLACK_S = 0.05
-# The ladder multiplies the characterize rate.  Its steps sit far from the
-# characterize connection's capacity (about 2.7x nominal on two cores), so
-# a run's verdict does not flip on noise near one step.
-LADDER = (1.5, 5.0)
+# The ladder doubles the characterize rate from nominal until a step
+# fails (at most LADDER_CLIMB steps), then bisects the last bracket
+# LADDER_REFINE times: the saturation rate is found to within
+# LADDER_FACTOR ** (1 / 2 ** LADDER_REFINE), about 9%, in five to seven
+# steps, which keeps a run near a minute.
+LADDER_FACTOR = 2.0
+LADDER_CLIMB = 5
+LADDER_REFINE = 3
 # A step needs this many misses for its p90 verdict.
 STEP_MIN_MISSES = 10
-JOB_WAIT_S = 30.0
+# A ladder step whose sender falls this far behind stops sending: it has
+# failed, and the rest of its schedule would only add a backlog to drain.
+ABANDON_LATE_S = 1.0
+# A characterize job still unfinished this long after its phase ended
+# (or, on the ladder, after it was sent) has failed.  It is 20 times the
+# ladder's miss p90 limit, and it bounds how long a stalled service can
+# hold a run: on a host in a slow phase, jobs stalled for 30 s and more.
+JOB_WAIT_S = 10.0
+# The characterize thread waits on its oldest outstanding job only when
+# its next send is at least POLL_MIN_S away, and returns POLL_MARGIN_S
+# before it is due, so polls do not make sends late.
+POLL_MIN_S = 0.005
+POLL_MARGIN_S = 0.002
 
 
 def combos(models: Sequence[str], properties: Sequence[str], runnable) -> List[list]:
@@ -185,17 +213,29 @@ class Traffic:
         return items
 
     def run(self, items: List[dict], phase: str) -> List[dict]:
-        """Send each stream of ``items`` on its own thread; returns the records."""
+        """Send the streams of ``items`` on two threads; returns the records.
+
+        Every record gets ``due``, ``start`` (sent) and ``end``: the reply,
+        or for a characterize miss the first poll that saw its job done.
+        When ``items`` hold no index traffic (the ladder), the second
+        thread waits on the characterize jobs in admission order instead,
+        so the sending thread only sends.
+        """
         records: List[dict] = []
         epoch = time.perf_counter()
+        jobs = None if any(i["stream"] == "index" for i in items) else queue.Queue()
 
-        def worker(stream):
+        def send(stream):
             with self._client_cls(self.url, timeout=60.0) as client:
+                outstanding: collections.deque = collections.deque()
                 for item in (i for i in items if i["stream"] == stream):
                     due = epoch + item["due"]
+                    self._resolve(client, outstanding, due)
                     delay = due - time.perf_counter()
                     if delay > 0:
                         time.sleep(delay)
+                    elif jobs is not None and -delay > ABANDON_LATE_S:
+                        break
                     record = {"phase": phase, "stream": stream, "kind": item["kind"],
                               "due": due}
                     record["start"] = time.perf_counter()
@@ -203,22 +243,71 @@ class Traffic:
                         self._send(client, item, record)
                     except Exception as exc:  # noqa: BLE001 - counted as a failure
                         record["error"] = f"{type(exc).__name__}: {exc}"
-                    record["end"] = time.perf_counter()
+                    if record["kind"] == "miss" and "error" not in record:
+                        (outstanding.append if jobs is None else jobs.put)(record)
+                    else:
+                        record["end"] = time.perf_counter()
                     records.append(record)
+                self._resolve(client, outstanding, time.perf_counter() + JOB_WAIT_S, drain=True)
+                if jobs is not None:
+                    jobs.put(None)
+
+        def resolve_jobs():
+            with self._client_cls(self.url, timeout=60.0) as client:
+                for record in iter(jobs.get, None):
+                    self._resolve(client, collections.deque([record]),
+                                  record["start"] + JOB_WAIT_S, drain=True)
 
         # The generator keeps every reply for the checks; a cyclic collection
         # over that growing heap would stall it mid-schedule.
         gc.disable()
         try:
-            helper = threading.Thread(target=worker, args=("index",), name="perfbench-index")
+            helper = threading.Thread(
+                target=send if jobs is None else resolve_jobs,
+                args=("index",) if jobs is None else (), name="perfbench-helper",
+            )
             helper.start()
-            worker("char")
+            send("char")
             helper.join()
         finally:
             gc.enable()
         records.sort(key=lambda r: r["due"])
         self.records.extend(records)
         return records
+
+    def _resolve(self, client, outstanding: collections.deque, until: float,
+                 drain: bool = False) -> None:
+        """Wait on the oldest outstanding jobs until ``until``.
+
+        A job's record ends at the poll that first sees it done.  The
+        runners take jobs in admission order, so the oldest job is
+        usually the next to finish; one that finishes before an older job
+        is seen when that older one is.  With ``drain``, every job still
+        outstanding at ``until`` gets one last poll that does not wait,
+        and fails if it is still unfinished.
+        """
+        while outstanding:
+            wait = until - time.perf_counter() - POLL_MARGIN_S
+            if wait < POLL_MIN_S - POLL_MARGIN_S:
+                if not drain:
+                    return
+                wait = 0.0
+            record = outstanding[0]
+            try:
+                reply = client.job(record["job_id"], wait=wait)
+            except Exception as exc:  # noqa: BLE001 - counted as a failure
+                reply = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
+            status = reply.get("status")
+            if status == "done":
+                record["result"] = reply["result"]
+            elif status == "failed":
+                record["error"] = f"job failed: {reply.get('error')}"
+            elif wait == 0.0:
+                record["error"] = f"job unfinished after {JOB_WAIT_S:g}s"
+            else:
+                continue
+            record["end"] = time.perf_counter()
+            outstanding.popleft()
 
     def _send(self, client, item: dict, record: dict) -> None:
         from repro.errors import ServiceOverloadedError
@@ -238,13 +327,7 @@ class Traffic:
                 record["result"] = reply["result"]
                 return
             record["kind"] = "miss"
-            while True:
-                reply = client.job(reply["job_id"], wait=JOB_WAIT_S)
-                if reply.get("status") == "done":
-                    record["result"] = reply["result"]
-                    return
-                if reply.get("status") == "failed":
-                    raise RuntimeError(f"job failed: {reply.get('error')}")
+            record["dedup"] = bool(reply.get("deduplicated"))
         elif kind.startswith("query"):
             prune = "off" if kind == "query_off" else "probe"
             vector = self.vectors[item["vector"]]
@@ -264,17 +347,29 @@ class Traffic:
 
     # -- the ladder --------------------------------------------------------
 
-    def ladder(self, step_s: float) -> List[dict]:
-        """Climb characterize rates above nominal until a step fails.
+    def ladder(self, nominal: dict, step_s: float) -> List[dict]:
+        """Steps above the nominal rate that bracket the saturation rate.
 
-        The index stream keeps its nominal rate throughout.
+        Climbs geometrically from the nominal step until a step fails,
+        then bisects the bracket.  Steps send characterize requests only,
+        so the second thread is free to resolve their jobs.  Returns the
+        ladder's steps (not the nominal one).
         """
-        steps = []
-        for factor in LADDER:
-            rate = CHAR_RATE * factor
-            records = self.run(self.schedule(rate, INDEX_RATE, step_s), f"ladder-{factor}")
-            steps.append(step_summary(records, rate))
-            if stats.ladder_max_rate(steps, MISS_P90_LIMIT_MS) is not steps[-1]:
+        steps: List[dict] = []
+
+        def step() -> bool:
+            rate = stats.ladder_next_rate([nominal] + steps, MISS_P90_LIMIT_MS, LADDER_FACTOR)
+            if rate is None:
+                return False
+            items = self.schedule(rate, 0.0, step_s)
+            records = self.run(items, f"ladder-{len(steps) + 1}")
+            steps.append(dict(step_summary(records, rate), unsent=len(items) - len(records)))
+            return True
+
+        while len(steps) < LADDER_CLIMB and step():
+            if not stats.step_passes(steps[-1], MISS_P90_LIMIT_MS):
+                for _ in range(LADDER_REFINE):
+                    step()
                 break
         return steps
 
@@ -364,5 +459,7 @@ def step_summary(records: Sequence[dict], rate: float) -> Dict[str, object]:
         "misses": len(misses),
         "miss_p90_ms": p90,
         "rejected": sum(1 for r in records if r.get("rejected")),
+        "errors": sum(1 for r in records if "error" in r and not r.get("rejected")),
+        "dedup": sum(1 for r in records if r.get("dedup")),
         "growing": stats.backlog_growing(records, slack=BACKLOG_SLACK_S),
     }

@@ -3,7 +3,10 @@
 Run as ``python3 perfbench/worker.py CONFIG.json`` with ``src`` on
 ``PYTHONPATH``.  The process sets up an ``Observatory`` (imports, dataset
 generation, model construction), runs the configured full-matrix sweep
-passes, and writes their timings and results to ``config["out"]``.  With
+passes, and writes their timings and results to ``config["out"]``.  A pass
+whose label is in ``config["fresh"]`` sweeps a newly built Observatory
+instead (built before its timer starts): an empty memory tier over the
+same disk tier, so the pass reads the disk tier without a new process.  With
 ``serve`` set it then starts the characterization service on the same,
 now warm, Observatory (built as ``repro serve`` builds it), prints
 ``READY <url>`` and serves until its standard input closes.
@@ -23,11 +26,8 @@ import sys  # noqa: E402
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 
-def _setup(config):
-    if config["trace"]:
-        import tracer
-
-        tracer.install()
+def _observatory(config, models):
+    """An Observatory over the configured disk tier, its data and ``models`` built."""
     from repro.core.framework import DatasetSizes, Observatory
     from repro.runtime import RuntimeConfig
 
@@ -37,7 +37,7 @@ def _setup(config):
     )
     for name in observatory.properties():
         observatory.prepare_property_data(name)
-    for model in config["setup_models"]:
+    for model in models:
         observatory.executor(model)
     return observatory
 
@@ -57,10 +57,14 @@ def _pass_record(sweep, seconds, cache_before):
     }
 
 
-def _counters(observatory):
-    cache = observatory.cache.stats.to_dict() if observatory.cache else None
-    pipeline = observatory.pipeline_stats().to_dict()
-    return {"cache": cache, "pipeline": pipeline}
+def _counters(observatories):
+    """Cache and pipeline counters summed over the process's Observatories."""
+    from repro.runtime import CacheStats, PipelineStats
+
+    caches = [o.cache.stats for o in observatories if o.cache]
+    pipeline = PipelineStats.merged([o.pipeline_stats() for o in observatories])
+    return {"cache": CacheStats.merged(caches).to_dict() if caches else None,
+            "pipeline": pipeline.to_dict()}
 
 
 def _write(path: str, payload: dict) -> None:
@@ -75,24 +79,35 @@ def main(config_path: str) -> int:
     trace = bool(config["trace"])
     if trace:
         import tracer
+
+        tracer.install()
     out = {"setup_s": None, "passes": []}
-    observatory = _setup(config)
+    observatory = _observatory(config, config["setup_models"])
     out["setup_s"] = time.perf_counter() - STARTED
+    built = [observatory]
 
     def run_passes():
         for label in config["passes"]:
-            stats = observatory.cache.stats
+            target = observatory
+            if label in config.get("fresh", ()):
+                target = _observatory(config, config["models"])
+                built.append(target)
+            stats = target.cache.stats
             before = (stats.hits, stats.misses)
             t0 = time.perf_counter()
-            sweep = observatory.sweep(config["models"])
+            sweep = target.sweep(config["models"])
             seconds = time.perf_counter() - t0
             out["passes"].append(dict(_pass_record(sweep, seconds, before), label=label))
 
+    # Phase times taken here, outside the span code, for the self-checks.
+    phases = {}
+    t0 = time.perf_counter()
     if trace:
         tracer.root("bench.passes", run_passes)
     else:
         run_passes()
-    out["after_passes"] = _counters(observatory)
+    phases["passes"] = [t0, time.perf_counter()]
+    out["after_passes"] = _counters(built)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     _write(config["out"], out)
 
@@ -105,18 +120,20 @@ def main(config_path: str) -> int:
         ).start()
         out["service_start_s"] = time.perf_counter() - t0
         print(f"READY {service.url}", flush=True)
+        t0 = time.perf_counter()
         if trace:
             tracer.root("bench.serve", sys.stdin.read)
         else:
             sys.stdin.read()
+        phases["serve"] = [t0, time.perf_counter()]
         service.close()
         out["service_stats"] = service.stats_snapshot()
-        out["after_serve"] = _counters(observatory)
+        out["after_serve"] = _counters(built)
 
         out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         _write(config["out"], out)
     if trace:
-        tracer.dump(config["out"] + ".spans", config["name"])
+        tracer.dump(config["out"] + ".spans", config["name"], STARTED, phases)
     return 0
 
 
