@@ -7,8 +7,8 @@ scale:
 - **build throughput** (rows/s through ``append_many``, including shard
   digesting and the manifest protocol);
 - **query latency** for the exhaustive oracle
-  (:class:`JoinDiscoveryIndex`), the index's pruning-off mode, and both
-  pruned modes (``bound``, ``probe``);
+  (:class:`JoinDiscoveryIndex`), the index's pruning-off mode, and the
+  pruned ``probe`` mode;
 - **probe recall** against the exhaustive top-k.
 
 Gates (every mode, every scale):
@@ -101,7 +101,7 @@ def bench_scale(rows: int, n_queries: int, scratch: str) -> Dict[str, object]:
     # Warm every path before timing: oracle matrix view, index dense
     # matrix, and the persisted partition plan.
     oracle.lookup(queries[0], K)
-    for mode in ("off", "bound", "probe"):
+    for mode in ("off", "probe"):
         index.query(queries[0], K, prune=mode)
 
     # Gate: pruning-off is bit-identical to brute force on every query.
@@ -118,7 +118,6 @@ def bench_scale(rows: int, n_queries: int, scratch: str) -> Dict[str, object]:
 
     t_exhaustive = time_queries(lambda q: oracle.lookup(q, K), queries)
     t_off = time_queries(lambda q: index.query(q, K, prune="off"), queries)
-    t_bound = time_queries(lambda q: index.query(q, K, prune="bound"), queries)
     t_probe = time_queries(lambda q: index.query(q, K, prune="probe"), queries)
 
     return {
@@ -133,7 +132,6 @@ def bench_scale(rows: int, n_queries: int, scratch: str) -> Dict[str, object]:
         "probe_candidate_floor": default_min_candidates(len(keys)),
         "t_exhaustive_ms": t_exhaustive * 1e3,
         "t_off_ms": t_off * 1e3,
-        "t_bound_ms": t_bound * 1e3,
         "t_probe_ms": t_probe * 1e3,
         "probe_speedup_vs_exhaustive": t_exhaustive / max(t_probe, 1e-9),
         "probe_recall_mean": float(np.mean(recalls)),
@@ -162,7 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     payload: Dict[str, object] = {
         "bench": "column_index",
-        "schema_version": 1,
+        "schema_version": 2,
         "mode": "smoke" if args.smoke else "full",
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
@@ -190,7 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"{record['build_rows_per_s']:>9.0f} rows/s | query ms "
                     f"exhaustive {record['t_exhaustive_ms']:.3f} / "
                     f"off {record['t_off_ms']:.3f} / "
-                    f"bound {record['t_bound_ms']:.3f} / "
                     f"probe {record['t_probe_ms']:.3f} "
                     f"({record['probe_speedup_vs_exhaustive']:.1f}x) | "
                     f"probe recall {record['probe_recall_mean']:.3f} "

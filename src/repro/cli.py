@@ -364,12 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=5, help="neighbours per query (default 5)"
     )
     index_query.add_argument(
-        "--prune", default="off", choices=["off", "bound", "probe"],
+        "--prune", default="off", choices=["off", "probe"],
         help=(
             "candidate pruning: 'off' is provably identical to brute "
-            "force, 'bound' is branch-and-bound (same results within a "
-            "1e-9 score margin), 'probe' is fastest/approximate "
-            "(documented recall floor) (default off)"
+            "force, 'probe' scans only the best coarse partitions "
+            "(approximate, documented recall floor) (default off)"
         ),
     )
     index_query.add_argument(

@@ -1,7 +1,7 @@
 """Persistent column-embedding index with a provable exact mode.
 
 :class:`ColumnIndex` serves top-k cosine joinability queries over a
-persistent :class:`~repro.index.store.ShardStore` corpus.  Three pruning
+persistent :class:`~repro.index.store.ShardStore` corpus.  Two pruning
 modes trade latency against guarantees:
 
 ``off``
@@ -15,24 +15,14 @@ modes trade latency against guarantees:
     concatenation of row blocks is bit-identical to one over the
     equivalently-stacked matrix.  (A matmul over a *gathered subset* of
     rows is **not** — BLAS blocking differs by shape — which is exactly
-    why the pruned modes below carry tolerance contracts instead.)
-
-``bound``
-    Branch-and-bound over coarse partitions: each partition's best
-    possible score is bounded by ``q·c + radius`` (Cauchy–Schwarz over
-    unit vectors); partitions are scanned in descending bound order and
-    scanning stops once no remaining bound can beat the current k-th
-    best by more than :data:`BOUND_SCORE_MARGIN`.  Returns the same
-    *result set* as exhaustive search up to score ties within the
-    margin; scores may differ from the exact mode in the last ~1 ulp
-    because candidates are scored via gathered sub-matrices.
+    why the probe mode below carries a recall contract instead.)
 
 ``probe``
-    Fixed-effort scan of the highest-bound partitions only (widened
-    until at least ``max(k, min_candidates)`` candidates are gathered).
-    Fastest, approximate: recall against the exhaustive top-k is
-    floored at :data:`PROBE_RECALL_FLOOR` on clustered corpora and
-    enforced by the test suite and CI on representative workloads.
+    Fixed-effort scan of the partitions whose centroids score highest
+    (widened until at least ``max(k, min_candidates)`` candidates are
+    gathered).  Fast and approximate: recall against the exhaustive
+    top-k is floored at :data:`PROBE_RECALL_FLOOR` on clustered corpora
+    and enforced by the test suite and CI on representative workloads.
 
 Partition plans are derived data keyed to the store generation (rebuilt
 whenever the corpus changes); the store itself owns crash safety.
@@ -41,7 +31,7 @@ whenever the corpus changes); the store itself owns crash safety.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,8 +45,7 @@ from repro.index.partitions import (
 )
 from repro.index.store import ShardStore
 
-PRUNE_MODES = ("off", "bound", "probe")
-BOUND_SCORE_MARGIN = 1e-9
+PRUNE_MODES = ("off", "probe")
 PROBE_RECALL_FLOOR = 0.9
 DEFAULT_SHARD_ROWS = 4096
 MIN_CANDIDATE_FLOOR = 32
@@ -275,8 +264,8 @@ class ColumnIndex:
         unit = self._prepare_query(embedding, k)
         if prune == "off":
             return self._query_exact(unit, k)
-        return self._query_pruned(
-            unit, k, mode=prune, probes=probes, min_candidates=min_candidates
+        return self._query_probe(
+            unit, k, probes=probes, min_candidates=min_candidates
         )
 
     def _query_exact(self, unit: np.ndarray, k: int) -> List[Tuple[str, float]]:
@@ -286,72 +275,49 @@ class ColumnIndex:
         order = np.argsort(-scores, kind="stable")[:k]
         return [(self._all_keys[int(i)], float(scores[int(i)])) for i in order]
 
-    def _rank(
-        self, rows: np.ndarray, scores: np.ndarray, k: int
-    ) -> List[Tuple[str, float]]:
-        # (-score, row) ordering == stable argsort over the full corpus.
-        order = np.lexsort((rows, -scores))[:k]
-        return [
-            (self._all_keys[int(rows[i])], float(scores[i])) for i in order
-        ]
-
-    def _query_pruned(
+    def _query_probe(
         self,
         unit: np.ndarray,
         k: int,
         *,
-        mode: str,
         probes: Optional[int],
         min_candidates: Optional[int],
     ) -> List[Tuple[str, float]]:
+        # Validate before the plan is built: a rejected query must not
+        # leave a partitions-*.npz behind.
         if min_candidates is None:
             min_candidates = default_min_candidates(len(self))
         elif min_candidates < 1:
             raise ColumnIndexError("min_candidates must be positive")
+        if probes is not None and probes < 1:
+            raise ColumnIndexError("probes must be positive")
         dense = self._ensure_dense()
         plan = self._ensure_plan()
-        centroid_scores = plan.centroids @ unit
-        bounds = centroid_scores + plan.radii
-        # Branch-and-bound must scan in bound order for its early-exit
-        # proof; probe ranks by centroid score (IVF-style) — a loose
-        # partition's optimistic bound says nothing about its typical
-        # member, and probing by bound drowns tight relevant partitions.
-        if mode == "bound":
-            order = np.argsort(-bounds, kind="stable")
-        else:
-            order = np.argsort(-centroid_scores, kind="stable")
+        # IVF-style: probe partitions in centroid-score order.
+        order = np.argsort(-(plan.centroids @ unit), kind="stable")
         member_lists: List[np.ndarray] = []
         score_lists: List[np.ndarray] = []
         gathered = 0
-        kth_best = -np.inf
-        if mode == "probe" and probes is not None:
-            if probes < 1:
-                raise ColumnIndexError("probes must be positive")
         target = max(k, min_candidates)
-        for rank, partition in enumerate(np.asarray(order)):
-            if mode == "bound":
-                if gathered >= k and bounds[partition] < kth_best - BOUND_SCORE_MARGIN:
-                    break
-            else:  # probe: fixed effort, widened to a candidate floor
-                enough = gathered >= target
-                past_probes = probes is not None and rank >= probes
-                if enough and (probes is None or past_probes):
-                    break
-                if past_probes and gathered >= k:
-                    break
+        for rank, partition in enumerate(order):
+            # Fixed effort, widened to a candidate floor.
+            enough = gathered >= target
+            past_probes = probes is not None and rank >= probes
+            if enough and (probes is None or past_probes):
+                break
+            if past_probes and gathered >= k:
+                break
             members = plan.members(int(partition))
             if members.size == 0:
                 continue
-            scores = dense[members] @ unit
             member_lists.append(members)
-            score_lists.append(scores)
+            score_lists.append(dense[members] @ unit)
             gathered += members.size
-            if mode == "bound" and gathered >= k:
-                pool = np.concatenate(score_lists)
-                kth_best = float(np.partition(pool, pool.size - k)[pool.size - k])
         rows = np.concatenate(member_lists)
         scores = np.concatenate(score_lists)
-        return self._rank(rows, scores, min(k, rows.size))
+        # (-score, row) ordering == stable argsort over the full corpus.
+        top = np.lexsort((rows, -scores))[: min(k, rows.size)]
+        return [(self._all_keys[int(rows[i])], float(scores[i])) for i in top]
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle
@@ -413,7 +379,6 @@ class ColumnIndex:
             "swept_files": self._store.swept_files,
             "prune_modes": list(PRUNE_MODES),
             "probe_recall_floor": PROBE_RECALL_FLOOR,
-            "bound_score_margin": BOUND_SCORE_MARGIN,
         }
 
     # Pickle support: the on-disk store is the state; reopening replays

@@ -1,16 +1,9 @@
 """Deterministic norm-banded coarse partitions for candidate pruning.
 
 The pruning layer splits the corpus into coarse partitions and keeps, per
-partition, a centroid of the *normalized* member rows plus the maximum
-angular deviation (``radius``) of any member from that centroid.  Queries
-then bound each partition's best possible cosine score via Cauchy-Schwarz:
-
-    max over members x_hat of  q_hat . x_hat
-        <= q_hat . c_hat + radius            (radius = max ||x_hat - c_hat||)
-
-so partitions whose bound cannot beat the current k-th best score are
-skipped entirely ("bound" mode), or only the highest-bound partitions are
-probed ("probe" mode).
+partition, a unit-norm centroid of the *normalized* member rows.  A
+``probe`` query scores the centroids and scans only the members of the
+best-scoring partitions (IVF-style).
 
 Partitioning is **norm-banded**: rows are first bucketed into quantile
 bands of their raw (pre-normalization) L2 norm — column embeddings from
@@ -21,8 +14,9 @@ seeded from ``(rows, dim)`` only, never from wall-clock or global RNG
 state, so the same corpus always yields the same plan.
 
 The plan is persisted as ``partitions-<generation>.npz`` with an embedded
-self-digest; a stale generation, torn file, or digest mismatch simply
-triggers a rebuild — the plan is derived data and never authoritative.
+self-digest; a stale generation, an older :data:`PLAN_VERSION`, a torn
+file, or a digest mismatch simply triggers a rebuild — the plan is
+derived data and never authoritative.
 """
 
 from __future__ import annotations
@@ -36,23 +30,26 @@ import numpy as np
 
 NORM_BANDS = 4
 KMEANS_ITERATIONS = 6
-PLAN_VERSION = 1
+# Bumped whenever the file layout changes: a plan of another version is
+# refused and rebuilt.
+PLAN_VERSION = 2
+# Fixed, not PLAN_VERSION: a file-layout change must not move the k-means
+# seed, and with it the partitions and every probe result.
+_SEED_SALT = 1
 
 
 @dataclasses.dataclass(frozen=True)
 class PartitionPlan:
     """Partition assignment over the corpus's global row order.
 
-    ``assignments[i]`` is row ``i``'s partition id; ``centroids`` holds
-    one unit-norm row per partition and ``radii`` the max Euclidean
-    distance of a normalized member from its centroid.  ``generation``
-    ties the plan to the shard-store state it was computed from.
+    ``assignments[i]`` is row ``i``'s partition id and ``centroids``
+    holds one unit-norm row per partition.  ``generation`` ties the plan
+    to the shard-store state it was computed from.
     """
 
     generation: int
     assignments: np.ndarray  # (rows,) int32
     centroids: np.ndarray  # (partitions, dim) float64, unit rows
-    radii: np.ndarray  # (partitions,) float64
 
     @property
     def partitions(self) -> int:
@@ -110,7 +107,7 @@ def build_plan(
     rows, dim = matrix64.shape
     normalized = matrix64 / norms[:, None]
     budget = partition_budget(rows)
-    rng = np.random.default_rng(hash((rows, dim, PLAN_VERSION)) & 0xFFFFFFFF)
+    rng = np.random.default_rng(hash((rows, dim, _SEED_SALT)) & 0xFFFFFFFF)
 
     bands = min(NORM_BANDS, rows)
     edges = _band_edges(norms, bands)
@@ -118,7 +115,6 @@ def build_plan(
 
     assignments = np.empty(rows, dtype=np.int32)
     centroid_rows: List[np.ndarray] = []
-    radius_values: List[float] = []
     next_id = 0
     for band in range(bands):
         member_idx = np.nonzero(band_of == band)[0]
@@ -130,32 +126,22 @@ def build_plan(
             cluster_idx = member_idx[labels == cluster]
             if cluster_idx.size == 0:
                 continue
-            members = normalized[cluster_idx]
-            mean = members.mean(axis=0)
+            mean = normalized[cluster_idx].mean(axis=0)
             length = np.linalg.norm(mean)
-            centroid = mean / length if length > 0 else mean
-            radius = float(np.max(np.linalg.norm(members - centroid, axis=1)))
             assignments[cluster_idx] = next_id
-            centroid_rows.append(centroid)
-            radius_values.append(radius)
+            centroid_rows.append(mean / length if length > 0 else mean)
             next_id += 1
     return PartitionPlan(
         generation=generation,
         assignments=assignments,
         centroids=np.vstack(centroid_rows),
-        radii=np.asarray(radius_values, dtype=np.float64),
     )
 
 
-def _plan_digest(
-    generation: int,
-    assignments: np.ndarray,
-    centroids: np.ndarray,
-    radii: np.ndarray,
-) -> str:
+def _plan_digest(generation: int, assignments: np.ndarray, centroids: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(f"{PLAN_VERSION}:{generation}".encode("ascii"))
-    for array in (assignments, centroids, radii):
+    for array in (assignments, centroids):
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
 
@@ -168,11 +154,10 @@ def serialize_plan(plan: PartitionPlan) -> bytes:
         generation=np.int64(plan.generation),
         assignments=plan.assignments,
         centroids=plan.centroids,
-        radii=plan.radii,
         digest=np.frombuffer(
-            _plan_digest(
-                plan.generation, plan.assignments, plan.centroids, plan.radii
-            ).encode("ascii"),
+            _plan_digest(plan.generation, plan.assignments, plan.centroids).encode(
+                "ascii"
+            ),
             dtype=np.uint8,
         ),
     )
@@ -190,21 +175,13 @@ def deserialize_plan(payload: bytes, *, expect_generation: int) -> Optional[Part
                 return None
             assignments = archive["assignments"]
             centroids = archive["centroids"]
-            radii = archive["radii"]
             stored = archive["digest"].tobytes().decode("ascii")
-        if stored != _plan_digest(generation, assignments, centroids, radii):
+        if stored != _plan_digest(generation, assignments, centroids):
             return None
-        if (
-            assignments.ndim != 1
-            or centroids.ndim != 2
-            or radii.shape != (centroids.shape[0],)
-        ):
+        if assignments.ndim != 1 or centroids.ndim != 2:
             return None
         return PartitionPlan(
-            generation=generation,
-            assignments=assignments,
-            centroids=centroids,
-            radii=radii,
+            generation=generation, assignments=assignments, centroids=centroids
         )
     except (OSError, ValueError, KeyError, UnicodeDecodeError, EOFError):
         return None

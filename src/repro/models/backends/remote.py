@@ -120,7 +120,7 @@ from repro.models.token_array import TokenArray, TokenSequence, wire_to_jsonable
 REMOTE_URL_ENV = "REPRO_REMOTE_URL"
 
 #: Wire protocol version.  2 added ``state_dtype`` (and the ``dtype``
-#: echo on response states); services accept 1 for old clients.
+#: echo on response states); services refuse any other version.
 PROTOCOL_VERSION = 2
 
 #: Per-element relative tolerance of the float32 state tier: float64

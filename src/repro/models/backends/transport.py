@@ -12,9 +12,8 @@ kwargs that :class:`~repro.runtime.planner.RuntimeConfig` grew in the
 first remote-backend iteration — six more ``remote_*`` knobs would have
 made that dataclass a junk drawer, and the fleet options only make sense
 *together* (a hedge delay without multiple replicas is dead config; a
-pool size without keep-alive is meaningless).  The legacy kwargs still
-work through a deprecation shim that builds a ``TransportConfig`` and
-warns.
+pool size without keep-alive is meaningless).  The flat kwargs are gone;
+``RuntimeConfig(transport=TransportConfig(...))`` is the one spelling.
 
 The config is a frozen dataclass of primitives, so it pickles across
 process-shard boundaries unchanged, and :meth:`to_jsonable` /

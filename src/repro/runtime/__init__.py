@@ -18,16 +18,14 @@ and perturbations.  This package removes that redundancy:
 - :mod:`repro.runtime.disk` — :class:`DiskTier`, the bounded, indexed,
   crash-safe persistent tier (versioned JSON index, byte/age LRU
   eviction, atomic write-temp-then-rename, stale-lock reclaim).
-- :mod:`repro.runtime.sweep` — ``Observatory.sweep``'s worker-pool engine
+- :mod:`repro.runtime.sweep` — ``Observatory.sweep``'s thread engine
+  (the reference engine) and the per-cell runner both engines share,
   returning a structured :class:`SweepResult` (including skipped cells).
 - :mod:`repro.runtime.scheduler` — :class:`WorkStealingSweep`, the
   ``execution="process"`` engine: persistent spawned workers pull
   LPT-ordered corpus-affinity :class:`WorkGroup`\\ s from a dynamic
   queue, with straggler re-dispatch and crash salvage
   (:class:`SchedulerTelemetry` reports busy/idle/steal per worker).
-- :mod:`repro.runtime.process_sweep` — :class:`ProcessShardedSweep`,
-  the legacy static-shard process engine, retained as the scheduler's
-  bit-identical equivalence oracle.
 - :mod:`repro.runtime.journal` — :class:`SweepJournal`, the write-ahead
   per-cell progress log behind ``sweep(journal_dir=..., resume=True)``:
   digest-verified JSONL segments under a plan-fingerprint header, so a
@@ -63,7 +61,6 @@ from repro.runtime.planner import (
     RuntimeConfig,
     as_executor,
 )
-from repro.runtime.process_sweep import ProcessShardedSweep, partition_shards
 from repro.runtime.scheduler import (
     CostModel,
     GroupScheduler,
@@ -106,7 +103,6 @@ __all__ = [
     "EncodeLoopStuckError",
     "GroupScheduler",
     "PipelineStats",
-    "ProcessShardedSweep",
     "SchedulerTelemetry",
     "WorkGroup",
     "WorkStealingSweep",
@@ -125,7 +121,6 @@ __all__ = [
     "load_cost_model",
     "lpt_order",
     "order_cells",
-    "partition_shards",
     "plan_fingerprint",
     "resolve_execution",
     "resolve_on_error",

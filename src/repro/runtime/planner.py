@@ -30,10 +30,8 @@ against.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,14 +114,6 @@ class RuntimeConfig:
             plain dict in :meth:`TransportConfig.to_jsonable` form is
             accepted and coerced.  ``None`` with ``backend="remote"``
             falls back to ``$REPRO_REMOTE_URL``.
-        remote_url / remote_timeout / remote_retries: **deprecated** flat
-            forms of ``transport`` — still honored (they fold into a
-            :class:`TransportConfig` and warn; with no ``remote_url`` the
-            replica list comes from ``$REPRO_REMOTE_URL``), but new code
-            should pass ``transport=`` directly; the fleet knobs
-            (multiple URLs, compression, float32 states, hedging) only
-            exist there.  After construction the flat fields read back
-            as ``None`` — ``transport`` is the single source of truth.
         async_encode: stream encoder batches through the background
             asyncio encode loop so serialization/fingerprinting of the
             next chunk overlaps the current chunk's forward passes.
@@ -158,9 +148,6 @@ class RuntimeConfig:
     padding_tier: int = DEFAULT_TIER_WIDTH
     async_encode: bool = True
     transport: Optional[TransportConfig] = None
-    remote_url: Optional[str] = None
-    remote_timeout: Optional[float] = None
-    remote_retries: Optional[int] = None
     on_error: Optional[str] = None
     fault_policy: Optional[FaultPolicy] = None
 
@@ -204,65 +191,6 @@ class RuntimeConfig:
             object.__setattr__(
                 self, "transport", TransportConfig.from_jsonable(self.transport)
             )
-        if self.remote_timeout is not None and self.remote_timeout <= 0:
-            raise ValueError("remote_timeout must be positive")
-        if self.remote_retries is not None and self.remote_retries < 0:
-            raise ValueError("remote_retries must be >= 0")
-        legacy = (self.remote_url, self.remote_timeout, self.remote_retries)
-        if any(value is not None for value in legacy):
-            warnings.warn(
-                "RuntimeConfig(remote_url=/remote_timeout=/remote_retries=) is "
-                "deprecated; pass RuntimeConfig(transport=TransportConfig(...)) "
-                "— the typed transport config also carries the fleet options "
-                "(multiple replica URLs, compression, state_dtype, hedging).",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.transport is not None:
-                raise ValueError(
-                    "pass transport= or the legacy remote_* kwargs, not both"
-                )
-            if self.remote_url is not None:
-                urls = (self.remote_url,)
-            else:
-                # remote_timeout/remote_retries without a URL: the tuning
-                # must still reach the backend, so resolve the replica
-                # list from $REPRO_REMOTE_URL (the same fallback
-                # RemoteBackend applies) instead of dropping the values.
-                from repro.models.backends.remote import REMOTE_URL_ENV
-
-                env = os.environ.get(REMOTE_URL_ENV, "")
-                urls = tuple(u.strip() for u in env.split(",") if u.strip())
-                if not urls:
-                    raise ValueError(
-                        "remote_timeout/remote_retries need replica URLs: "
-                        "pass remote_url= (or transport=) or set "
-                        f"${REMOTE_URL_ENV}"
-                    )
-            object.__setattr__(
-                self,
-                "transport",
-                TransportConfig(
-                    urls=urls,
-                    timeout=(
-                        self.remote_timeout
-                        if self.remote_timeout is not None
-                        else TransportConfig.__dataclass_fields__["timeout"].default
-                    ),
-                    retries=(
-                        self.remote_retries
-                        if self.remote_retries is not None
-                        else TransportConfig.__dataclass_fields__["retries"].default
-                    ),
-                ),
-            )
-            # Fold exactly once: dataclasses.replace() re-runs this
-            # __post_init__ (process-shard shipping does), and a copy
-            # carrying both the coerced transport and the flat kwargs
-            # would trip the conflict check above.
-            object.__setattr__(self, "remote_url", None)
-            object.__setattr__(self, "remote_timeout", None)
-            object.__setattr__(self, "remote_retries", None)
         if self.backend is not None:
             if self.backend not in available_backends():
                 raise ValueError(
@@ -301,11 +229,9 @@ class RuntimeConfig:
             from repro.models.backends.remote import RemoteBackend
 
             # transport=None falls through to RemoteBackend's own
-            # $REPRO_REMOTE_URL fallback (the legacy kwargs were already
-            # folded into self.transport by the deprecation shim).  The
-            # FaultPolicy's transport knobs override the TransportConfig
-            # retry budget and set the backoff envelope — one failure
-            # budget, not two.
+            # $REPRO_REMOTE_URL fallback.  The FaultPolicy's transport
+            # knobs override the TransportConfig retry budget and set the
+            # backoff envelope — one failure budget, not two.
             policy = self.fault_policy
             config = self.transport
             kwargs = {}

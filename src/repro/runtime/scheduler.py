@@ -1,12 +1,10 @@
-"""Work-stealing sweep scheduler.
+"""Work-stealing sweep scheduler: the ``execution="process"`` engine.
 
-The static process engine (:mod:`repro.runtime.process_sweep`) cuts the
-cache-aware cell order into contiguous shards and hands each worker one
-fixed shard up front.  That bounds every sweep by its unluckiest shard:
-a ``heterogeneous_context`` cell costs ~3x a shuffle cell, and a fleet
+Handing each worker one fixed shard of the cell order up front would
+bound every sweep by its unluckiest shard: a ``heterogeneous_context``
+cell costs ~3x a shuffle cell, and a fleet
 :class:`~repro.models.backends.remote.RemoteBackend` adds per-replica
-latency variance on top.  This module replaces the one-shot
-``pool.map`` with a dynamic scheduler:
+latency variance on top.  This module dispatches dynamically instead:
 
 - **Corpus-affinity work groups** — consecutive cells of the cache-aware
   order (:func:`repro.runtime.sweep.order_cells`) sharing a (model,
@@ -31,11 +29,21 @@ latency variance on top.  This module replaces the one-shot
   completed groups are never discarded.  A group that keeps killing
   workers is reported as poisoned, naming its cells.
 
+Isolation contract: workers never receive pickled encoders or datasets.
+The payload is plain configuration (seed, :class:`DatasetSizes`,
+:class:`RuntimeConfig`) and each **spawned** worker rebuilds its own
+Observatory, models and corpora from it; only configuration crosses in
+and results cross out (token sequences never ship raw: piece ids are
+process-local interner state).  The only shared state is the on-disk
+cache tier (``RuntimeConfig.disk_cache_dir``), whose atomic writes and
+locked index make concurrent workers safe.
+
 Determinism contract: the scheduler changes *wall-clock*, never
-*numbers*.  Results are bit-identical to ``execution="thread"`` and to
-the retained static-shard engine for any worker count and any
-steal/crash interleaving — ``tests/test_runtime_scheduler.py`` locks
-this in against both oracles.
+*numbers*.  Workers run each cell through the thread engine's own
+:func:`~repro.runtime.sweep.run_cell`, and results are bit-identical to
+``execution="thread"`` — the reference engine — for any worker count
+and any steal/crash interleaving; ``tests/test_runtime_scheduler.py``
+locks this in.
 
 The dispatch loop (:class:`GroupScheduler`) is transport-agnostic: it
 drives anything satisfying the small worker-handle protocol (``send`` /
@@ -71,8 +79,9 @@ from repro.models.backends.remote import TransportStats
 from repro.runtime.cache import CacheStats
 from repro.runtime.faults import Deadline
 from repro.runtime.pipeline import PipelineStats
-from repro.runtime.process_sweep import _DEFAULT_PROCESS_CAP, ShardOutcome
-from repro.runtime.sweep import PROPERTY_CORPUS, CellFailure
+from repro.runtime.sweep import PROPERTY_CORPUS, CellFailure, SweepCell, run_cell
+
+_DEFAULT_PROCESS_CAP = 4
 
 # Telemetry-prior source for LPT ordering: path to a BENCH_*.json record
 # written by benchmarks/bench_runtime_sweep.py --json (its cell_records
@@ -105,6 +114,26 @@ DEFAULT_PROPERTY_COST = {
     "entity_stability": 1.0,
 }
 _FALLBACK_CELL_COST = 1.0
+
+
+@dataclasses.dataclass
+class ShardOutcome:
+    """What the parent gets back from the process engine (pre-ordering).
+
+    ``scheduler`` carries the per-worker busy/idle/steal telemetry
+    (:class:`SchedulerTelemetry`); ``failures`` carries degraded cells
+    (:class:`~repro.runtime.sweep.CellFailure`) under
+    ``on_error="degrade"``.
+    """
+
+    cells: List[SweepCell]
+    workers: int
+    cache_stats: Optional[CacheStats]
+    pipeline: Optional[PipelineStats] = None
+    padding: Optional[PaddingStats] = None
+    transport: Optional[TransportStats] = None
+    scheduler: Optional[SchedulerTelemetry] = None
+    failures: List[CellFailure] = dataclasses.field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -665,21 +694,15 @@ def _parse_crash_spec(spec: str) -> Tuple[Optional[int], Optional[Tuple[str, str
 def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> None:
     """Spawn-safe persistent worker: rebuild state once, pull groups forever.
 
-    Same isolation contract as the static engine's ``_run_shard``: the
-    payload is plain configuration (seed, sizes, runtime), the worker
-    rebuilds its own Observatory/models/corpora, and only configuration
-    crosses in / results cross out.  ``results`` is this worker's own
-    pipe connection, written from the main thread — a crash here can
-    tear this channel but can never block a sibling's (see
-    :class:`_FanInResults`).  Imports live inside the function so the
-    spawned interpreter resolves them by qualified name without
-    dragging parent-module cycles along.
+    The payload is plain configuration (seed, sizes, runtime); the worker
+    rebuilds its own Observatory/models/corpora (the module's isolation
+    contract).  ``results`` is this worker's own pipe connection, written
+    from the main thread — a crash here can tear this channel but can
+    never block a sibling's (see :class:`_FanInResults`).  The framework
+    import lives inside the function so the spawned interpreter resolves
+    it by qualified name without dragging parent-module cycles along.
     """
-    import repro.telemetry as telemetry
     from repro.core.framework import Observatory
-    from repro.errors import CellExecutionError, DeadlineExceededError, ObservatoryError
-    from repro.runtime.faults import Deadline
-    from repro.runtime.sweep import CellFailure, SweepCell
 
     crash_worker, crash_cell = _parse_crash_spec(os.environ.get(CRASH_ENV, ""))
     stall_spec = os.environ.get(STALL_ENV, "")
@@ -731,15 +754,11 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
                     )
                 )
                 continue
-            timings = telemetry.start_cell()
-            t0 = time.perf_counter()
             try:
-                result = observatory.characterize(model_name, property_name)
-            except Exception as exc:
+                out_cells.append(run_cell(observatory, model_name, property_name))
+            except ObservatoryError as exc:
                 if on_error != "degrade":
                     raise  # the worker dies; parent salvage takes over
-                if not isinstance(exc, ObservatoryError):
-                    exc = CellExecutionError(model_name, property_name, str(exc))
                 # cause stays None: a live traceback may not survive
                 # pickling back through the result pipe.
                 out_failures.append(
@@ -747,20 +766,6 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
                         model_name, property_name, type(exc).__name__, str(exc)
                     )
                 )
-                continue
-            finally:
-                telemetry.stop_cell()
-            out_cells.append(
-                SweepCell(
-                    model_name,
-                    property_name,
-                    result,
-                    time.perf_counter() - t0,
-                    serialize_seconds=timings.serialize_seconds,
-                    encode_seconds=timings.encode_seconds,
-                    aggregate_seconds=timings.aggregate_seconds,
-                )
-            )
         busy = time.perf_counter() - started
         # Stats ride every result as *cumulative* snapshots: the parent
         # keeps the latest per worker, so a worker later terminated
@@ -856,12 +861,9 @@ class _ProcessWorkerHandle:
 class WorkStealingSweep:
     """Run sweep cells through the work-stealing scheduler on spawned workers.
 
-    The drop-in successor to
-    :class:`~repro.runtime.process_sweep.ProcessShardedSweep` (which is
-    retained as the static-shard oracle): same isolation contract, same
-    bit-identical results, but dispatch is dynamic — LPT-ordered
-    corpus-affinity groups pulled by persistent workers, with straggler
-    re-dispatch and crash salvage.
+    LPT-ordered corpus-affinity groups are pulled by persistent workers,
+    with straggler re-dispatch and crash salvage; results are
+    bit-identical to the thread engine's.
 
     Args:
         observatory: the parent Observatory; only ``seed``/``sizes``/
@@ -936,9 +938,9 @@ class WorkStealingSweep:
             "on_error": self.on_error,
             "deadline_epoch": self.deadline.epoch(),
         }
-        # spawn, not fork — same reasoning as the static engine: workers
-        # must rebuild from configuration, so pickling bugs surface and
-        # non-POSIX hosts behave identically.
+        # spawn, not fork: workers must rebuild state from configuration
+        # (fork would silently share the parent's loaded models and numpy
+        # state, masking pickling bugs and breaking on non-POSIX hosts).
         context = multiprocessing.get_context("spawn")
         # One result pipe per worker (not a shared Queue): a hard-dying
         # worker must not be able to wedge the survivors' result sends —

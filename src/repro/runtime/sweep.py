@@ -14,16 +14,18 @@ Two execution engines are available:
   straggler re-dispatch and crash salvage.  This scales the Python-heavy
   half of the matrix (serializers, aggregates, planners) past the GIL.
   Workers rebuild models from the registry and share only the on-disk
-  cache tier.  The legacy static-shard engine
-  (:mod:`repro.runtime.process_sweep`) is retained as the scheduler's
-  equivalence oracle.
+  cache tier.
+
+Both engines run each cell through :func:`run_cell`, and the thread
+engine is the reference the process engine is tested against.
 
 Determinism: a cell's result is a pure function of (seed, model, property,
 dataset sizes).  The cache only short-circuits recomputation of values
 that would have been identical anyway, and cells never exchange data, so
 sweep results are independent of worker count, scheduling order, *and*
-execution mode — ``tests/test_runtime_sweep.py`` and
-``tests/test_runtime_process_sweep.py`` lock this in.
+execution mode — ``tests/test_runtime_sweep.py``,
+``tests/test_runtime_process_sweep.py`` and
+``tests/test_runtime_scheduler.py`` lock this in.
 
 Cells are *executed* in cache-aware order — grouped so cells sharing a
 dataset corpus run back-to-back, raising the intra-sweep hit rate — but
@@ -222,6 +224,38 @@ class CellFailure:
             "error": self.error,
             "message": self.message,
         }
+
+
+def run_cell(observatory, model_name: str, property_name: str) -> SweepCell:
+    """Characterize one cell and time its phases.
+
+    The one per-cell runner: the thread engine's pool and every
+    work-stealing worker call it.  ``characterize`` gets the model and
+    property positionally, which is where ``perfbench/tracer.py`` reads
+    the cell from.  A non-library exception is re-raised as
+    :class:`~repro.errors.CellExecutionError` with the original chained
+    (the errors.py contract: library failure paths raise
+    ``ObservatoryError`` subclasses).
+    """
+    timings = telemetry.start_cell()
+    t0 = time.perf_counter()
+    try:
+        result = observatory.characterize(model_name, property_name)
+    except ObservatoryError:
+        raise
+    except Exception as exc:
+        raise CellExecutionError(model_name, property_name, str(exc)) from exc
+    finally:
+        telemetry.stop_cell()
+    return SweepCell(
+        model_name,
+        property_name,
+        result,
+        time.perf_counter() - t0,
+        serialize_seconds=timings.serialize_seconds,
+        encode_seconds=timings.encode_seconds,
+        aggregate_seconds=timings.aggregate_seconds,
+    )
 
 
 @dataclasses.dataclass
@@ -574,8 +608,6 @@ def _dispatch_sweep(
                 backend=backend_desc,
                 cache_stats=None,
             )
-        # The work-stealing scheduler is the process engine; the static
-        # ProcessShardedSweep survives as its equivalence oracle.
         from repro.runtime.scheduler import WorkStealingSweep
 
         def journal_group(group_cells: List[SweepCell]) -> None:
@@ -625,40 +657,17 @@ def _dispatch_sweep(
 
     workers = max_workers or min(_DEFAULT_WORKER_CAP, max(1, len(todo)))
 
-    def run_cell(cell: Tuple[str, str]) -> SweepCell:
-        model_name, property_name = cell
-        # A cell that hasn't started when the budget runs out is not
-        # worth starting; one already running is left to finish (cells
-        # are short relative to sweeps).
-        deadline.check(f"cell {model_name}/{property_name}")
-        timings = telemetry.start_cell()
-        t0 = time.perf_counter()
-        try:
-            result = observatory.characterize(model_name, property_name)
-        except ObservatoryError:
-            raise
-        except Exception as exc:
-            # The errors.py contract: library failure paths raise
-            # ObservatoryError subclasses, with the original chained.
-            raise CellExecutionError(model_name, property_name, str(exc)) from exc
-        finally:
-            telemetry.stop_cell()
-        return SweepCell(
-            model_name,
-            property_name,
-            result,
-            time.perf_counter() - t0,
-            serialize_seconds=timings.serialize_seconds,
-            encode_seconds=timings.encode_seconds,
-            aggregate_seconds=timings.aggregate_seconds,
-        )
-
     def attempt(cell: Tuple[str, str]):
+        model_name, property_name = cell
         try:
-            return run_cell(cell)
+            # A cell that hasn't started when the budget runs out is not
+            # worth starting; one already running is left to finish (cells
+            # are short relative to sweeps).
+            deadline.check(f"cell {model_name}/{property_name}")
+            return run_cell(observatory, model_name, property_name)
         except ObservatoryError as exc:
             if on_error == "degrade":
-                return CellFailure.from_exception(cell[0], cell[1], exc)
+                return CellFailure.from_exception(model_name, property_name, exc)
             raise
 
     cells: List[SweepCell] = []
@@ -710,7 +719,9 @@ def _dispatch_sweep(
         workers=workers,
         execution=engine,
         backend=backend_desc,
-        cache_stats=cache.stats if cache is not None else None,
+        # A copy: the cache's live counters keep moving with later sweeps
+        # on this Observatory.  The values stay cumulative.
+        cache_stats=dataclasses.replace(cache.stats) if cache is not None else None,
         pipeline=pipeline if pipeline.batches else None,
         padding=padding,
         transport=transport,

@@ -1,13 +1,13 @@
 """The ``/encode`` endpoint semantics, shared by every server in the tree.
 
-This is the service half of the remote-encoder protocol (PR 5/6):
-requests carry :func:`~repro.models.token_array.wire_from_jsonable`
-TokenArray payloads plus a :meth:`ModelConfig.to_jsonable` model
-description; responses carry base64 hidden states with digest echoes.
-Historically this logic lived inside the loopback test double; now the
-always-on characterization service mounts the same endpoint, so a
-``repro serve`` instance doubles as an encoder-fleet replica — and there
-is exactly one implementation of the wire semantics to keep honest.
+This is the service half of the remote-encoder protocol: requests carry
+:func:`~repro.models.token_array.wire_from_jsonable` TokenArray payloads
+plus a :meth:`ModelConfig.to_jsonable` model description; responses carry
+base64 hidden states with digest echoes.  Historically this logic lived
+inside the loopback test double; now the always-on characterization
+service mounts the same endpoint, so a ``repro serve`` instance doubles
+as an encoder-fleet replica — and there is exactly one implementation of
+the wire semantics to keep honest.
 
 :class:`EncoderPool` caches one rebuilt encoder per (model config,
 backend mode, padding tier); :meth:`EncoderPool.encode_request` runs one
@@ -33,26 +33,24 @@ from repro.models.config import ModelConfig
 from repro.models.encoder import Encoder
 from repro.models.token_array import TokenArray, wire_from_jsonable
 
-#: Protocol versions the service accepts: 2 is current (``state_dtype``);
-#: 1 is the pre-fleet client, still answered with float64 states.
-ACCEPTED_PROTOCOLS = (1, PROTOCOL_VERSION)
+#: Protocol versions the service accepts: only the current one (2, which
+#: added ``state_dtype`` and the ``dtype`` echo).
+ACCEPTED_PROTOCOLS = (PROTOCOL_VERSION,)
 
 
 def state_entry(
-    digest: str, state: np.ndarray, state_dtype: str = "float64", *, protocol: int = 2
+    digest: str, state: np.ndarray, state_dtype: str = "float64"
 ) -> Dict[str, object]:
     """One response entry: base64 state bytes + integrity digest + echo."""
     wire_dtype = "<f4" if state_dtype == "float32" else "<f8"
     raw = np.ascontiguousarray(state.astype(wire_dtype, copy=False)).tobytes()
-    entry = {
+    return {
         "digest": digest,
         "shape": list(state.shape),
         "data": base64.b64encode(raw).decode("ascii"),
         "data_digest": hashlib.sha256(raw).hexdigest(),
+        "dtype": state_dtype,
     }
-    if protocol >= 2:
-        entry["dtype"] = state_dtype
-    return entry
 
 
 class EncoderPool:
@@ -117,7 +115,7 @@ class EncoderPool:
             digests.append(str(wire["digest"]))
         states = encoder.backend.encode_batch(encoder, arrays, batch_size=batch_size)
         entries = [
-            state_entry(digest, state, state_dtype, protocol=int(protocol))
+            state_entry(digest, state, state_dtype)
             for digest, state in zip(digests, states)
         ]
         with self._lock:

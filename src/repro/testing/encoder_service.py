@@ -20,7 +20,7 @@ connection pool is exercised for real), accepts gzip request bodies and
 negotiates gzip responses via ``Accept-Encoding``, and honors the
 protocol-2 ``state_dtype`` field — ``"float32"`` states are rounded to
 little-endian float32 on the wire and tagged with a ``dtype`` echo.
-Protocol-1 requests (no ``state_dtype``) still work.  All of that now
+Requests of any other protocol version are refused.  All of that now
 lives in the shared plane; what stays *here* is exactly the part a test
 double owns — fault injection:
 

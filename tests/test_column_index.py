@@ -85,24 +85,6 @@ def test_pruning_off_is_bit_identical_to_oracle(tmp_path_factory, data, k_seed):
     assert got == want
 
 
-@settings(deadline=None, max_examples=20)
-@given(data=corpora())
-def test_bound_mode_matches_exhaustive_within_margin(tmp_path_factory, data):
-    rows, query = data
-    tmp = tmp_path_factory.mktemp("ci")
-    index, oracle = _build_pair(tmp, rows)
-    k = min(3, len(rows))
-    exact = index.query(query, k, prune="off")
-    bound = index.query(query, k, prune="bound")
-    assert len(bound) == len(exact)
-    # Identical result sets except where scores tie within the margin;
-    # every bound-mode hit must score within 1e-8 of its exact peer.
-    by_key = dict(oracle.lookup(query, len(rows)))
-    for (got_key, got_score), (_, want_score) in zip(bound, exact):
-        assert abs(by_key[got_key] - want_score) <= 1e-8
-        assert abs(got_score - by_key[got_key]) <= 1e-8
-
-
 @settings(deadline=None, max_examples=15)
 @given(data=corpora(), split_seed=st.integers(min_value=0, max_value=10**6))
 def test_append_then_query_equals_build_from_scratch(
@@ -184,14 +166,17 @@ def test_explicit_probes_and_min_candidates(tmp_path):
     rows = rng.normal(size=(120, DIM))
     index = ColumnIndex.build(str(tmp_path / "idx"), zip(keys, rows), dim=DIM)
     query = rng.normal(size=DIM)
+    with pytest.raises(ColumnIndexError, match="must be positive"):
+        index.query(query, 3, prune="probe", probes=0)
+    with pytest.raises(ColumnIndexError, match="must be positive"):
+        index.query(query, 3, prune="probe", min_candidates=0)
+    # Arguments are checked before the partition plan is built, so a
+    # rejected query leaves no partitions-*.npz behind.
+    assert not [f for f in os.listdir(index.directory) if f.startswith("partitions-")]
     narrow = index.query(query, 3, prune="probe", probes=1, min_candidates=1)
     assert len(narrow) == 3
     wide = index.query(query, 3, prune="probe", min_candidates=120)
     assert wide == index.query(query, 3, prune="off")
-    with pytest.raises(ColumnIndexError):
-        index.query(query, 3, prune="probe", probes=0)
-    with pytest.raises(ColumnIndexError):
-        index.query(query, 3, prune="probe", min_candidates=0)
 
 
 def test_validation_errors(tmp_path):
@@ -224,7 +209,7 @@ def test_describe_and_exports(tmp_path):
     import repro
 
     assert repro.ColumnIndex is ColumnIndex
-    assert PRUNE_MODES == ("off", "bound", "probe")
+    assert PRUNE_MODES == ("off", "probe")
     index = ColumnIndex.create(str(tmp_path / "idx"), DIM)
     index.append_many((f"k{i}", np.eye(DIM)[i % DIM] + 1.0) for i in range(7))
     info = index.describe()

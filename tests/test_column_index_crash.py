@@ -18,6 +18,7 @@ import pytest
 from repro.downstream.join_discovery import JoinDiscoveryIndex
 from repro.errors import ColumnIndexError
 from repro.index import ColumnIndex
+from repro.index.partitions import PLAN_VERSION
 from repro.index.store import LOCK_NAME, MANIFEST_NAME
 
 DIM = 6
@@ -191,15 +192,34 @@ def test_corrupt_partition_plan_rebuilds_transparently(tmp_path, corpus):
     keys, rows = corpus
     index = build(tmp_path, keys, rows)
     exact = index.query(rows[5], 5, prune="off")
-    index.query(rows[5], 5, prune="bound")  # persists the plan
+    index.query(rows[5], 5, prune="probe")  # persists the plan
     plans = glob.glob(os.path.join(index.directory, "partitions-*.npz"))
     assert plans
     with open(plans[0], "wb") as handle:
         handle.write(b"not an npz")
 
     reopened = ColumnIndex.open(index.directory)
-    bound = reopened.query(rows[5], 5, prune="bound")
-    assert [key for key, _ in bound] == [key for key, _ in exact]
+    # A candidate floor of every row makes probe a full scan over the
+    # rebuilt plan, so it must return exactly off's keys.
+    full = reopened.query(rows[5], 5, prune="probe", min_candidates=len(reopened))
+    assert [key for key, _ in full] == [key for key, _ in exact]
+
+
+def test_older_plan_version_is_refused_and_rebuilt(tmp_path, corpus):
+    keys, rows = corpus
+    index = build(tmp_path, keys, rows)
+    want = index.query(rows[2], 4, prune="probe")  # persists the plan
+    (path,) = glob.glob(os.path.join(index.directory, "partitions-*.npz"))
+    with np.load(path) as archive:
+        fields = dict(archive)
+    fields["plan_version"] = np.int64(PLAN_VERSION - 1)
+    np.savez(path, **fields)
+
+    reopened = ColumnIndex.open(index.directory)
+    assert reopened.describe()["partitions"] is None  # refused, not loaded
+    assert reopened.query(rows[2], 4, prune="probe") == want
+    with np.load(path) as archive:
+        assert int(archive["plan_version"]) == PLAN_VERSION
 
 
 def test_stale_generation_partition_plan_is_swept(tmp_path, corpus):
@@ -212,8 +232,9 @@ def test_stale_generation_partition_plan_is_swept(tmp_path, corpus):
     reopened = ColumnIndex.open(index.directory)
     for plan in old_plans:
         assert not os.path.exists(plan)
-    # Pruned queries over the new generation still work (fresh plan).
-    got = reopened.query(rows[1], 3, prune="bound")
+    # Pruned queries over the new generation still work (fresh plan); a
+    # full-scan candidate floor makes the answer off's.
+    got = reopened.query(rows[1], 3, prune="probe", min_candidates=len(reopened))
     assert [key for key, _ in got] == [
         key for key, _ in reopened.query(rows[1], 3, prune="off")
     ]

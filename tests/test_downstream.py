@@ -203,12 +203,11 @@ def test_evaluate_join_discovery_engine_parity(tmp_path):
 
 def test_evaluate_join_discovery_pruned_engines_run():
     pairs = NextiaJDGenerator(seed=12).generate_pairs(6)
-    for prune in ("bound", "probe"):
-        report = evaluate_join_discovery(
-            cached_model("t5"), pairs, k=2, engine="index", prune=prune
-        )
-        assert report.prune == prune
-        assert 0.0 <= report.precision_full <= 1.0
+    report = evaluate_join_discovery(
+        cached_model("t5"), pairs, k=2, engine="index", prune="probe"
+    )
+    assert report.prune == "probe"
+    assert 0.0 <= report.precision_full <= 1.0
 
 
 def test_evaluate_join_discovery_bad_engine():

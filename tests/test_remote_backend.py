@@ -348,9 +348,7 @@ class TestConfigWiring:
 
     def test_transport_knob_validation(self, service):
         with pytest.raises(ValueError):
-            RuntimeConfig(remote_timeout=0.0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(remote_retries=-1)
+            TransportConfig(urls=(service.url,), retries=-1)
         with pytest.raises(ValueError):
             TransportConfig(urls=(service.url,), timeout=0.0)
         with pytest.raises(ValueError):
@@ -361,54 +359,6 @@ class TestConfigWiring:
             TransportConfig(urls=(service.url, service.url))  # duplicates
         with pytest.raises(ValueError):
             TransportConfig(urls=())
-
-    def test_legacy_kwargs_build_transport_and_warn(self, service):
-        with pytest.warns(DeprecationWarning, match="TransportConfig"):
-            cfg = RuntimeConfig(
-                backend="remote",
-                remote_url=service.url,
-                remote_timeout=5.0,
-                remote_retries=2,
-            )
-        assert cfg.transport == TransportConfig(
-            urls=(service.url,), timeout=5.0, retries=2
-        )
-        backend = cfg.build_backend()
-        assert backend.url == service.url
-        assert backend.timeout == 5.0 and backend.retries == 2
-
-    def test_legacy_config_survives_dataclasses_replace(self, service):
-        # The shim folds the flat kwargs into transport exactly once and
-        # clears them, so dataclasses.replace (the process-shard path)
-        # re-runs __post_init__ without tripping the both-forms check.
-        import dataclasses
-
-        with pytest.warns(DeprecationWarning):
-            cfg = RuntimeConfig(remote_url=service.url, remote_timeout=5.0)
-        assert cfg.remote_url is None and cfg.remote_timeout is None
-        copy = dataclasses.replace(cfg, execution="thread", max_workers=1)
-        assert copy.transport == cfg.transport
-        assert copy.transport.timeout == 5.0
-
-    def test_legacy_tuning_without_url_uses_env_fleet(self, service, monkeypatch):
-        monkeypatch.setenv("REPRO_REMOTE_URL", f"{service.url}, http://other:1")
-        with pytest.warns(DeprecationWarning):
-            cfg = RuntimeConfig(remote_timeout=7.0, remote_retries=3)
-        assert cfg.transport.urls == (service.url, "http://other:1")
-        assert cfg.transport.timeout == 7.0 and cfg.transport.retries == 3
-
-        monkeypatch.delenv("REPRO_REMOTE_URL")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="replica URLs"):
-                RuntimeConfig(remote_timeout=7.0)
-
-    def test_transport_and_legacy_kwargs_conflict(self, service):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                RuntimeConfig(
-                    transport=TransportConfig(urls=(service.url,)),
-                    remote_url=service.url,
-                )
 
     def test_float32_tier_requires_non_exact_runtime(self, service):
         f32 = TransportConfig(urls=(service.url,), state_dtype="float32")
@@ -448,6 +398,13 @@ class TestConfigWiring:
         with pytest.raises(RemoteEncodeError, match="HTTP 400"):
             backend.encode_batch(BadEncoder(), token_lists, 4)
         assert backend.stats_snapshot().retries == 0
+
+    def test_protocol_1_requests_refused(self):
+        from repro.service.encode import ACCEPTED_PROTOCOLS, EncoderPool
+
+        assert ACCEPTED_PROTOCOLS == (2,)
+        with pytest.raises(ValueError, match="protocol mismatch"):
+            EncoderPool().encode_request({"protocol": 1, "sequences": []})
 
     def test_bad_urls_rejected(self):
         with pytest.raises(ModelError):

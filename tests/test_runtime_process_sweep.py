@@ -6,9 +6,7 @@ counts, and scheduling — distributing cells across spawned processes
 changes wall-clock, never numbers.  ``execution="process"`` now runs the
 work-stealing scheduler (:mod:`repro.runtime.scheduler`), so these tests
 exercise it end to end; scheduler-specific behavior (steals, crash
-salvage, cost priors) lives in ``tests/test_runtime_scheduler.py``, and
-the static-shard engine they originally covered survives as the
-equivalence oracle there.
+salvage, cost priors) lives in ``tests/test_runtime_scheduler.py``.
 """
 
 import pytest
@@ -17,7 +15,7 @@ from repro import Observatory, RuntimeConfig
 from repro.analysis.report import render_sweep
 from repro.core.framework import DatasetSizes
 from repro.errors import ObservatoryError
-from repro.runtime import order_cells, partition_shards, resolve_execution
+from repro.runtime import order_cells, resolve_execution
 from repro.runtime.cache import CacheStats
 
 SIZES = DatasetSizes(
@@ -168,17 +166,6 @@ class TestExecutionResolution:
 
 
 class TestSharding:
-    def test_partition_balanced_and_contiguous(self):
-        cells = [(f"m{i}", "p") for i in range(7)]
-        shards = partition_shards(cells, 3)
-        assert [len(s) for s in shards] == [3, 2, 2]
-        assert [c for shard in shards for c in shard] == cells  # order kept
-
-    def test_partition_never_produces_empty_shards(self):
-        cells = [("m", "p1"), ("m", "p2")]
-        assert [len(s) for s in partition_shards(cells, 5)] == [1, 1]
-        assert partition_shards(cells, 1) == [cells]
-
     def test_order_cells_groups_by_model_then_corpus(self):
         # Request order is property-major; execution order must be
         # model-major with corpus-sharing properties adjacent.

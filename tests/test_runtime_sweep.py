@@ -122,6 +122,19 @@ class TestSweep:
         obs.sweep(["bert"], PROPS, max_workers=1)
         assert obs.cache.stats.misses == misses
 
+    def test_cache_stats_not_rewritten_by_a_later_sweep(self):
+        # Each result keeps the cumulative counters it returned with; a
+        # second sweep on the same Observatory must not rewrite the first.
+        obs = make_observatory()
+        first = obs.sweep(["bert"], PROPS, max_workers=1, execution="thread")
+        seen = (first.cache_stats.hits, first.cache_stats.misses)
+        second = obs.sweep(["bert"], PROPS, max_workers=1, execution="thread")
+        assert (first.cache_stats.hits, first.cache_stats.misses) == seen
+        assert second.cache_stats is not first.cache_stats
+        # Still cumulative: the warm rerun only adds hits.
+        assert second.cache_stats.misses == seen[1]
+        assert second.cache_stats.hits > seen[0]
+
 
 class TestRendering:
     def test_render_sweep(self, sweep):
