@@ -115,18 +115,15 @@ def render_markdown(matrix: Dict[str, Dict[str, Optional[float]]]) -> str:
 def sweep_matrix(sweep: SweepResult) -> Dict[str, Dict[str, Optional[float]]]:
     """Headline-value matrix (model -> property -> value) of a sweep.
 
-    Cells the sweep skipped — or whose property has no headline statistic
-    registered — render as ``None``, same as out-of-scope cells in
-    :func:`full_characterization`.
+    Cells the sweep skipped or that failed under ``on_error="degrade"`` —
+    or whose property has no headline statistic registered — render as
+    ``None``, same as out-of-scope cells in :func:`full_characterization`.
     """
-    if not sweep.cells and not sweep.skipped:
+    if not sweep.cells and not sweep.skipped and not sweep.failures:
         raise ObservatoryError("empty sweep result")
-    model_names = sweep.model_names or sorted(
-        {s.model_name for s in sweep.skipped}
-    )
-    property_names = sweep.property_names or sorted(
-        {s.property_name for s in sweep.skipped}
-    )
+    others = [*sweep.skipped, *sweep.failures]
+    model_names = sweep.model_names or sorted({c.model_name for c in others})
+    property_names = sweep.property_names or sorted({c.property_name for c in others})
     matrix: Dict[str, Dict[str, Optional[float]]] = {}
     for model_name in model_names:
         row: Dict[str, Optional[float]] = {}

@@ -55,14 +55,13 @@ from repro.data.sotab import SotabGenerator
 from repro.data.spider import SpiderGenerator
 from repro.data.wikitables import WikiTablesGenerator
 from repro.errors import ObservatoryError, PropertyConfigError
-from repro.models.backends.padded import PaddedBackend, PaddingStats
-from repro.models.backends.remote import RemoteBackend, TransportStats
 from repro.models.base import EmbeddingModel
 from repro.models.registry import load_model
 from repro.runtime.cache import EmbeddingCache
 from repro.runtime.pipeline import PipelineStats
 from repro.runtime.planner import EmbeddingExecutor, RuntimeConfig
 from repro.runtime.sweep import SweepResult, run_sweep
+from repro.telemetry import Counters
 
 
 @dataclasses.dataclass
@@ -115,7 +114,7 @@ class Observatory:
         self.cache: Optional[EmbeddingCache] = self.runtime.build_cache()
         # One encoder backend shared by every model of this Observatory:
         # backends are stateless w.r.t. encoding (the encoder travels per
-        # call), so sharing is safe and yields one merged PaddingStats.
+        # call), so sharing is safe and yields one set of backend counters.
         self.encoder_backend = self.runtime.build_backend()
         self._models: Dict[str, EmbeddingModel] = {}
         self._executors: Dict[str, EmbeddingExecutor] = {}
@@ -180,17 +179,22 @@ class Observatory:
             executors = list(self._executors.values())
         return PipelineStats.merged([e.pipeline_stats for e in executors])
 
-    def padding_stats(self) -> Optional[PaddingStats]:
-        """Cumulative padding-waste snapshot, ``None`` under an exact backend."""
-        if isinstance(self.encoder_backend, PaddedBackend):
-            return self.encoder_backend.stats_snapshot()
-        return None
+    def counters(self) -> Dict[str, Counters]:
+        """Cumulative snapshot of every counter source, by kind.
 
-    def transport_stats(self) -> Optional[TransportStats]:
-        """Cumulative remote-transport snapshot, ``None`` unless remote."""
-        if isinstance(self.encoder_backend, RemoteBackend):
-            return self.encoder_backend.stats_snapshot()
-        return None
+        The kinds: ``cache`` (while the runtime cache is on), ``pipeline``
+        (:meth:`pipeline_stats`), and the encoder backend's
+        ``counters_kind`` — ``padding`` (padded) or ``transport``
+        (remote).  A sweep diffs two snapshots; process-sweep workers
+        ship theirs back to be merged kind by kind.
+        """
+        out: Dict[str, Counters] = {"pipeline": self.pipeline_stats()}
+        if self.cache is not None:
+            out["cache"] = self.cache.stats.copy()
+        kind = getattr(self.encoder_backend, "counters_kind", None)
+        if kind is not None:
+            out[kind] = self.encoder_backend.stats_snapshot()
+        return out
 
     def _dataset(self, key: str, build) -> object:
         with self._dataset_lock:

@@ -44,11 +44,12 @@ import os
 import re
 import time
 import uuid
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ColumnIndexError
+from repro.runtime.disk import file_lock
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -149,33 +150,13 @@ class ShardStore:
     def manifest_path(self) -> str:
         return os.path.join(self.directory, MANIFEST_NAME)
 
-    @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Hold ``index.lock`` (O_CREAT|O_EXCL) with stale-lock reclaim."""
-        lock_path = os.path.join(self.directory, LOCK_NAME)
-        deadline = time.time() + self._lock_timeout
-        fd = None
-        while fd is None:
-            try:
-                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - os.path.getmtime(lock_path)
-                except OSError:
-                    continue  # holder just released; retry immediately
-                if age > self._stale_age or time.time() > deadline:
-                    with contextlib.suppress(OSError):
-                        os.unlink(lock_path)
-                    continue
-                time.sleep(0.002)
-        try:
-            with contextlib.suppress(OSError):
-                os.write(fd, str(os.getpid()).encode("ascii"))
-            os.close(fd)
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(lock_path)
+    def _locked(self):
+        """Hold ``index.lock``; see :func:`~repro.runtime.disk.file_lock`."""
+        return file_lock(
+            os.path.join(self.directory, LOCK_NAME),
+            patience=self._lock_timeout,
+            stale_age=self._stale_age,
+        )
 
     def _write_manifest(self) -> None:
         payload = {

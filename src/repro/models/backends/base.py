@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 import asyncio
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -42,10 +42,14 @@ class EncoderBackend(abc.ABC):
         exact: whether outputs are bit-identical to encoding each sequence
             alone with :meth:`Encoder.encode`.  Non-exact backends must
             document a per-element ``tolerance`` bound instead.
+        counters_kind: for a backend that keeps counters, the kind
+            :meth:`~repro.core.framework.Observatory.counters` reports its
+            ``stats_snapshot()`` under; ``None`` when it keeps none.
     """
 
     name: str = "abstract"
     exact: bool = True
+    counters_kind: Optional[str] = None
 
     @property
     def cache_namespace(self):

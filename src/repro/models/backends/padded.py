@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.models.backends.base import BATCH_MAX_LENGTH, EncoderBackend
 from repro.models.token_array import TokenSequence
+from repro.telemetry import Counters
 
 # Guaranteed per-element bound, relative to the output's magnitude, between
 # this backend and the single-sequence forward.  Observed differences are
@@ -43,8 +44,10 @@ DEFAULT_TIER_WIDTH = 8
 
 
 @dataclasses.dataclass
-class PaddingStats:
+class PaddingStats(Counters):
     """Waste accounting of a padded backend (cumulative, thread-safe)."""
+
+    derived = ("waste_ratio",)
 
     sequences: int = 0
     padded_batches: int = 0
@@ -57,31 +60,13 @@ class PaddingStats:
         total = self.real_tokens + self.padded_tokens
         return self.padded_tokens / total if total else 0.0
 
-    @classmethod
-    def merged(cls, many: Sequence["PaddingStats"]) -> "PaddingStats":
-        out = cls()
-        for stats in many:
-            out.sequences += stats.sequences
-            out.padded_batches += stats.padded_batches
-            out.real_tokens += stats.real_tokens
-            out.padded_tokens += stats.padded_tokens
-        return out
-
-    def since(self, baseline: "PaddingStats") -> "PaddingStats":
-        """Counters accumulated after ``baseline`` was snapshotted."""
-        return PaddingStats(
-            sequences=self.sequences - baseline.sequences,
-            padded_batches=self.padded_batches - baseline.padded_batches,
-            real_tokens=self.real_tokens - baseline.real_tokens,
-            padded_tokens=self.padded_tokens - baseline.padded_tokens,
-        )
-
 
 class PaddedBackend(EncoderBackend):
     """Length-bucketed padded batching; tolerance documented above."""
 
     name = "padded"
     exact = False
+    counters_kind = "padding"
     tolerance = PADDED_TOLERANCE
 
     def __init__(
@@ -103,7 +88,7 @@ class PaddedBackend(EncoderBackend):
     def stats_snapshot(self) -> PaddingStats:
         """Consistent copy of the cumulative waste counters."""
         with self._stats_lock:
-            return dataclasses.replace(self.stats)
+            return self.stats.copy()
 
     def _tier(self, length: int) -> int:
         return (length - 1) // self.tier_width

@@ -114,6 +114,7 @@ from repro.models.backends.base import EncoderBackend
 from repro.models.backends.padded import DEFAULT_TIER_WIDTH, PADDED_TOLERANCE
 from repro.models.backends.transport import TransportConfig
 from repro.models.token_array import TokenArray, TokenSequence, wire_to_jsonable
+from repro.telemetry import Counters
 
 #: Environment fallback for the replica URLs (CLI/RuntimeConfig take
 #: priority); comma-separated values configure a fleet.
@@ -164,7 +165,7 @@ class _TransientError(RemoteEncodeError):
 
 
 @dataclasses.dataclass
-class ReplicaStats:
+class ReplicaStats(Counters):
     """Per-replica transport accounting (keyed by URL on the parent).
 
     ``requests`` counts attempts routed to the replica (including retried
@@ -172,6 +173,8 @@ class ReplicaStats:
     actually consumed — a hedge loser's completed response increments
     neither ``chunks`` nor the result set.
     """
+
+    derived = ("mean_round_trip",)
 
     requests: int = 0
     chunks: int = 0
@@ -184,30 +187,9 @@ class ReplicaStats:
     def mean_round_trip(self) -> float:
         return self.round_trip_seconds / self.chunks if self.chunks else 0.0
 
-    def to_dict(self) -> Dict[str, float]:
-        out = dataclasses.asdict(self)
-        out["mean_round_trip"] = self.mean_round_trip
-        return out
-
-    def add(self, other: "ReplicaStats") -> None:
-        for field in dataclasses.fields(ReplicaStats):
-            setattr(
-                self, field.name, getattr(self, field.name) + getattr(other, field.name)
-            )
-
-    def since(self, baseline: "ReplicaStats") -> "ReplicaStats":
-        out = ReplicaStats()
-        for field in dataclasses.fields(ReplicaStats):
-            setattr(
-                out,
-                field.name,
-                getattr(self, field.name) - getattr(baseline, field.name),
-            )
-        return out
-
 
 @dataclasses.dataclass
-class TransportStats:
+class TransportStats(Counters):
     """Cumulative remote-transport accounting (thread-safe via the backend).
 
     ``requests`` counts every attempt (including retried and hedged
@@ -220,6 +202,8 @@ class TransportStats:
     though their responses never reach the results.  ``replicas`` breaks
     routing down per replica URL.
     """
+
+    derived = ("mean_round_trip",)
 
     requests: int = 0
     chunks: int = 0
@@ -238,54 +222,10 @@ class TransportStats:
     quarantines: int = 0
     replicas: Dict[str, ReplicaStats] = dataclasses.field(default_factory=dict)
 
-    _NUMERIC = (
-        "requests", "chunks", "retries", "timeouts", "http_errors",
-        "sequences", "round_trip_seconds", "bytes_sent", "bytes_received",
-        "connections_opened", "connections_reused", "hedges", "hedges_won",
-        "hedges_cancelled", "quarantines",
-    )
-
     @property
     def mean_round_trip(self) -> float:
         """Mean seconds per consumed chunk round trip."""
         return self.round_trip_seconds / self.chunks if self.chunks else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {name: getattr(self, name) for name in self._NUMERIC}
-        out["mean_round_trip"] = self.mean_round_trip
-        out["replicas"] = {url: rs.to_dict() for url, rs in sorted(self.replicas.items())}
-        return out
-
-    def copy(self) -> "TransportStats":
-        """Deep-enough copy: per-replica entries are duplicated too."""
-        out = dataclasses.replace(
-            self, replicas={u: dataclasses.replace(r) for u, r in self.replicas.items()}
-        )
-        return out
-
-    @classmethod
-    def merged(cls, many: Sequence["TransportStats"]) -> "TransportStats":
-        out = cls()
-        for stats in many:
-            for name in cls._NUMERIC:
-                setattr(out, name, getattr(out, name) + getattr(stats, name))
-            for url, rs in stats.replicas.items():
-                out.replicas.setdefault(url, ReplicaStats()).add(rs)
-        return out
-
-    def since(self, baseline: "TransportStats") -> "TransportStats":
-        """Counters accumulated after ``baseline`` was snapshotted."""
-        out = TransportStats()
-        for name in self._NUMERIC:
-            setattr(out, name, getattr(self, name) - getattr(baseline, name))
-        for url, rs in self.replicas.items():
-            base = baseline.replicas.get(url)
-            delta = rs.since(base) if base is not None else dataclasses.replace(rs)
-            if any(
-                getattr(delta, f.name) for f in dataclasses.fields(ReplicaStats)
-            ):
-                out.replicas[url] = delta
-        return out
 
 
 class _Connection:
@@ -494,6 +434,7 @@ class RemoteBackend(EncoderBackend):
     """
 
     name = "remote"
+    counters_kind = "transport"
 
     def __init__(
         self,

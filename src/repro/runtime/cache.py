@@ -21,12 +21,13 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.runtime.disk import DiskTier
 from repro.runtime.fingerprint import cache_entry_digest
+from repro.telemetry import Counters
 
 CacheKey = Tuple[str, ...]
 CacheValue = Union[np.ndarray, Dict[object, np.ndarray]]
@@ -41,14 +42,15 @@ CACHE_SCHEMA_VERSION = 1
 
 
 @dataclasses.dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Counters for cache effectiveness (hits include disk-tier hits).
 
     ``evictions`` counts memory-tier LRU drops; ``disk_evictions`` counts
     disk-tier reclaims (size budget or age expiry); ``disk_drops`` counts
-    corrupt/torn disk entries discarded on read.  Stats are plain counters
-    so per-process sweep shards can be summed with :meth:`merged`.
+    corrupt/torn disk entries discarded on read.
     """
+
+    derived = ("hit_rate",)
 
     hits: int = 0
     misses: int = 0
@@ -66,39 +68,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.requests if self.requests else 0.0
-
-    @classmethod
-    def merged(cls, parts: Iterable["CacheStats"]) -> "CacheStats":
-        """Sum of several stats (e.g. one per sweep worker process)."""
-        total = cls()
-        for part in parts:
-            for field in dataclasses.fields(cls):
-                setattr(
-                    total,
-                    field.name,
-                    getattr(total, field.name) + getattr(part, field.name),
-                )
-        return total
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "disk_hits": self.disk_hits,
-            "disk_puts": self.disk_puts,
-            "disk_evictions": self.disk_evictions,
-            "disk_drops": self.disk_drops,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"hit_rate={self.hit_rate:.2%}, evictions={self.evictions}, "
-            f"disk_evictions={self.disk_evictions})"
-        )
 
 
 class EmbeddingCache:

@@ -47,6 +47,44 @@ LOCK_NAME = "index.lock"
 _TMP_PREFIX = ".tmp-"
 
 
+@contextlib.contextmanager
+def file_lock(path: str, *, patience: float, stale_age: float) -> Iterator[None]:
+    """Hold the lock file ``path`` (O_CREAT|O_EXCL) with stale-lock reclaim.
+
+    A lock file older than ``stale_age`` seconds is reclaimed at once (its
+    writer crashed); a younger one is waited on, polling every 2 ms, for
+    at most ``patience`` seconds before it is reclaimed as wedged.  The
+    holder's pid is written into the file.  The disk tier's index and the
+    column index's manifest both serialize their writers through this.
+    """
+    deadline = time.time() + patience
+    fd = None
+    while fd is None:
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            try:
+                age = time.time() - os.path.getmtime(path)
+            except OSError:
+                continue  # holder just released; retry immediately
+            if age > stale_age or time.time() > deadline:
+                # The writer crashed (or is wedged past our patience):
+                # reclaim.  Unlink is racy-but-safe — worst case two
+                # waiters both proceed to an atomic rename.
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+                continue
+            time.sleep(0.002)
+    try:
+        with contextlib.suppress(OSError):
+            os.write(fd, str(os.getpid()).encode("ascii"))
+        os.close(fd)
+        yield
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+
+
 class DiskTier:
     """Directory of ``.npy`` entries governed by a versioned JSON index.
 
@@ -111,42 +149,19 @@ class DiskTier:
     def index_path(self) -> str:
         return os.path.join(self.directory, INDEX_NAME)
 
-    @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Hold ``index.lock`` (O_CREAT|O_EXCL) with stale-lock reclaim."""
-        lock_path = os.path.join(self.directory, LOCK_NAME)
+    def _locked(self):
+        """Hold ``index.lock``; see :func:`file_lock`."""
         patience = self._lock_timeout
         if self._deadline is not None:
             # A sweep out of wall-clock budget should not sit out the full
             # lock timeout; the floor keeps an expired budget from turning
             # every wait into an instant (possibly-live) lock reclaim.
             patience = max(0.05, self._deadline.bound(self._lock_timeout))
-        deadline = time.time() + patience
-        fd = None
-        while fd is None:
-            try:
-                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - os.path.getmtime(lock_path)
-                except OSError:
-                    continue  # holder just released; retry immediately
-                if age > self._stale_lock_age or time.time() > deadline:
-                    # The writer crashed (or is wedged past our patience):
-                    # reclaim.  Unlink is racy-but-safe — worst case two
-                    # waiters both proceed to an atomic index rename.
-                    with contextlib.suppress(OSError):
-                        os.unlink(lock_path)
-                    continue
-                time.sleep(0.002)
-        try:
-            with contextlib.suppress(OSError):
-                os.write(fd, str(os.getpid()).encode("ascii"))
-            os.close(fd)
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(lock_path)
+        return file_lock(
+            os.path.join(self.directory, LOCK_NAME),
+            patience=patience,
+            stale_age=self._stale_lock_age,
+        )
 
     # ------------------------------------------------------------------
     # Index I/O

@@ -30,14 +30,17 @@ import asyncio
 import dataclasses
 import threading
 from concurrent.futures import Future
-from typing import Coroutine, Dict, Optional, Sequence
+from typing import Coroutine, Optional
 
 from repro.errors import ObservatoryError
+from repro.telemetry import Counters
 
 
 @dataclasses.dataclass
-class PipelineStats:
+class PipelineStats(Counters):
     """Cumulative async-encode accounting (picklable, lock kept outside)."""
+
+    derived = ("overlap_ratio",)
 
     batches: int = 0
     sequences: int = 0
@@ -53,38 +56,6 @@ class PipelineStats:
     def overlap_ratio(self) -> float:
         """Fraction of encode time the caller did not block for."""
         return self.overlap_seconds / self.encode_seconds if self.encode_seconds else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "batches": self.batches,
-            "sequences": self.sequences,
-            "encode_seconds": self.encode_seconds,
-            "wait_seconds": self.wait_seconds,
-            "overlap_ratio": self.overlap_ratio,
-        }
-
-    @classmethod
-    def merged(cls, many: Sequence["PipelineStats"]) -> "PipelineStats":
-        out = cls()
-        for stats in many:
-            out.batches += stats.batches
-            out.sequences += stats.sequences
-            out.encode_seconds += stats.encode_seconds
-            out.wait_seconds += stats.wait_seconds
-        return out
-
-    def since(self, baseline: "PipelineStats") -> "PipelineStats":
-        """Counters accumulated after ``baseline`` was snapshotted.
-
-        Executors keep cumulative totals; a sweep reports only its own
-        work by snapshotting before it starts and diffing after.
-        """
-        return PipelineStats(
-            batches=self.batches - baseline.batches,
-            sequences=self.sequences - baseline.sequences,
-            encode_seconds=self.encode_seconds - baseline.encode_seconds,
-            wait_seconds=self.wait_seconds - baseline.wait_seconds,
-        )
 
 
 class EncodeLoopClosedError(ObservatoryError, RuntimeError):

@@ -74,12 +74,9 @@ from repro.errors import (
     ObservatoryError,
     WorkerCrashError,
 )
-from repro.models.backends.padded import PaddingStats
-from repro.models.backends.remote import TransportStats
-from repro.runtime.cache import CacheStats
 from repro.runtime.faults import Deadline
-from repro.runtime.pipeline import PipelineStats
 from repro.runtime.sweep import PROPERTY_CORPUS, CellFailure, SweepCell, run_cell
+from repro.telemetry import Counters
 
 _DEFAULT_PROCESS_CAP = 4
 
@@ -120,6 +117,7 @@ _FALLBACK_CELL_COST = 1.0
 class ShardOutcome:
     """What the parent gets back from the process engine (pre-ordering).
 
+    ``counters`` merges the workers' latest counter snapshots by kind;
     ``scheduler`` carries the per-worker busy/idle/steal telemetry
     (:class:`SchedulerTelemetry`); ``failures`` carries degraded cells
     (:class:`~repro.runtime.sweep.CellFailure`) under
@@ -128,10 +126,7 @@ class ShardOutcome:
 
     cells: List[SweepCell]
     workers: int
-    cache_stats: Optional[CacheStats]
-    pipeline: Optional[PipelineStats] = None
-    padding: Optional[PaddingStats] = None
-    transport: Optional[TransportStats] = None
+    counters: Dict[str, Counters] = dataclasses.field(default_factory=dict)
     scheduler: Optional[SchedulerTelemetry] = None
     failures: List[CellFailure] = dataclasses.field(default_factory=list)
 
@@ -296,16 +291,7 @@ class WorkerTelemetry:
         return self.busy_seconds / total if total > 0 else 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "worker_id": self.worker_id,
-            "groups": self.groups,
-            "cells": self.cells,
-            "busy_seconds": self.busy_seconds,
-            "idle_seconds": self.idle_seconds,
-            "busy_fraction": self.busy_fraction,
-            "steals": self.steals,
-            "crashed": self.crashed,
-        }
+        return {**dataclasses.asdict(self), "busy_fraction": self.busy_fraction}
 
 
 @dataclasses.dataclass
@@ -321,15 +307,7 @@ class SchedulerTelemetry:
     dispatch_log: List[Dict[str, object]] = dataclasses.field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "groups": self.groups,
-            "workers": [w.to_dict() for w in self.workers],
-            "redispatches": self.redispatches,
-            "duplicates_discarded": self.duplicates_discarded,
-            "crashes": self.crashes,
-            "salvaged_groups": self.salvaged_groups,
-            "dispatch_log": list(self.dispatch_log),
-        }
+        return {**dataclasses.asdict(self), "workers": [w.to_dict() for w in self.workers]}
 
 
 @dataclasses.dataclass
@@ -767,8 +745,8 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
                     )
                 )
         busy = time.perf_counter() - started
-        # Stats ride every result as *cumulative* snapshots: the parent
-        # keeps the latest per worker, so a worker later terminated
+        # Counters ride every result as *cumulative* snapshots: the
+        # parent keeps the latest per worker, so a worker later terminated
         # mid-duplicate forfeits only that duplicate's deltas.
         results.send(
             (
@@ -779,14 +757,7 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
                 {
                     "cells": out_cells,
                     "failures": out_failures,
-                    "stats": (
-                        observatory.cache.stats
-                        if observatory.cache is not None
-                        else None
-                    ),
-                    "pipeline": observatory.pipeline_stats(),
-                    "padding": observatory.padding_stats(),
-                    "transport": observatory.transport_stats(),
+                    "counters": observatory.counters(),
                 },
             )
         )
@@ -1005,28 +976,15 @@ class WorkStealingSweep:
                         CellFailure.from_exception(m, p, error)
                         for m, p in group.cells
                     )
-        snapshots = list(run.snapshots.values())
-        shard_stats = [s["stats"] for s in snapshots if s["stats"] is not None]
-        stats = CacheStats.merged(shard_stats) if shard_stats else None
-        pipelines = [s["pipeline"] for s in snapshots if s["pipeline"] is not None]
-        pipeline = PipelineStats.merged(pipelines) if pipelines else None
-        if pipeline is not None and not pipeline.batches:
-            pipeline = None
-        paddings = [s["padding"] for s in snapshots if s["padding"] is not None]
-        padding = PaddingStats.merged(paddings) if paddings else None
-        if padding is not None and not padding.padded_batches:
-            padding = None
-        transports = [s["transport"] for s in snapshots if s["transport"] is not None]
-        transport = TransportStats.merged(transports) if transports else None
-        if transport is not None and not transport.chunks:
-            transport = None
+        by_kind: Dict[str, List[Counters]] = {}
+        for snapshot in run.snapshots.values():
+            for kind, stats in snapshot["counters"].items():
+                by_kind.setdefault(kind, []).append(stats)
+        counters = {kind: type(parts[0]).merged(parts) for kind, parts in by_kind.items()}
         return ShardOutcome(
             cells=merged_cells,
             workers=workers,
-            cache_stats=stats,
-            pipeline=pipeline,
-            padding=padding,
-            transport=transport,
+            counters=counters,
             scheduler=run.telemetry,
             failures=failures,
         )

@@ -53,6 +53,7 @@ from repro.models.backends.remote import TransportStats
 from repro.runtime.cache import CacheStats
 from repro.runtime.faults import Deadline, FaultPolicy
 from repro.runtime.pipeline import PipelineStats
+from repro.telemetry import Counters
 
 # Workers only pay off when cores exist to run cells in parallel; on a
 # single-core host the pool degenerates to sequential execution.
@@ -276,16 +277,13 @@ class SweepResult:
         execution: engine that ran the cells (``"thread"``/``"process"``).
         backend: encoder-backend description (name, tier width, tolerance)
             the sweep's embeddings went through.
-        cache_stats: embedding-cache counters — the shared cache in thread
-            mode, the merged per-worker counters in process mode, ``None``
-            when the runtime cache is disabled.
-        pipeline: async-encode accounting (overlap ratio), merged across
-            executors/workers; ``None`` when streaming never engaged.
-        padding: padded-backend waste accounting; ``None`` under the
-            exact local backend.
-        transport: remote-transport accounting (round trips, retries,
-            bytes), merged across workers; ``None`` unless the remote
-            backend carried chunks for this sweep.
+        counters: this sweep's runtime counters by kind (the kinds of
+            :meth:`~repro.core.framework.Observatory.counters`), merged
+            across worker processes; read them as :attr:`cache_stats`,
+            :attr:`pipeline`, :attr:`padding` and :attr:`transport`
+            (``None`` when absent).  A kind is present when any of its
+            counters moved; the cache whenever it is on, and under the
+            thread engine with the shared cache's cumulative totals.
         scheduler: work-stealing dispatch accounting
             (:class:`~repro.runtime.scheduler.SchedulerTelemetry` —
             per-worker busy/idle/steal counters, redispatches, crash
@@ -300,11 +298,24 @@ class SweepResult:
     workers: int = 1
     execution: str = "thread"
     backend: str = "local (exact)"
-    cache_stats: Optional[CacheStats] = None
-    pipeline: Optional[PipelineStats] = None
-    padding: Optional[PaddingStats] = None
-    transport: Optional[TransportStats] = None
+    counters: Dict[str, Counters] = dataclasses.field(default_factory=dict)
     scheduler: Optional["SchedulerTelemetry"] = None  # noqa: F821
+
+    @property
+    def cache_stats(self) -> Optional[CacheStats]:
+        return self.counters.get("cache")
+
+    @property
+    def pipeline(self) -> Optional[PipelineStats]:
+        return self.counters.get("pipeline")
+
+    @property
+    def padding(self) -> Optional[PaddingStats]:
+        return self.counters.get("padding")
+
+    @property
+    def transport(self) -> Optional[TransportStats]:
+        return self.counters.get("transport")
 
     @property
     def records(self) -> List[Dict[str, object]]:
@@ -353,10 +364,9 @@ class SweepResult:
             "workers": self.workers,
             "execution": self.execution,
             "backend": self.backend,
-            "cache": self.cache_stats.to_dict() if self.cache_stats else None,
-            "pipeline": self.pipeline.to_dict() if self.pipeline else None,
-            "padding": dataclasses.asdict(self.padding) if self.padding else None,
-            "transport": self.transport.to_dict() if self.transport else None,
+            # Readers expect all four keys; a kind that did not move is None.
+            **dict.fromkeys(("cache", "pipeline", "padding", "transport")),
+            **{kind: stats.to_dict() for kind, stats in self.counters.items()},
             "scheduler": self.scheduler.to_dict() if self.scheduler else None,
         }
 
@@ -509,12 +519,10 @@ def run_sweep(
     deadline = policy.start_deadline()
     _apply_deadline(observatory, deadline)
     backend_desc = observatory.backend_description()
-    # Executors accumulate pipeline/padding counters for their lifetime;
-    # snapshot here so this sweep reports only its own work, not a
-    # previous sweep's (thread engine reuses the executors).
-    pipeline_before = observatory.pipeline_stats()
-    padding_before = observatory.padding_stats()
-    transport_before = observatory.transport_stats()
+    # Counter sources accumulate for their lifetime; snapshot here so
+    # this sweep reports only its own work, not a previous sweep's (the
+    # thread engine reuses the executors and the backend).
+    before = observatory.counters()
     started = time.perf_counter()
     runnable, skipped = plan_cells(observatory, model_names, property_names)
     # Execute cache-aware, return request-order (see order_cells).
@@ -561,13 +569,16 @@ def run_sweep(
             request_rank=request_rank,
             todo=todo,
             replayed_cells=replayed_cells,
-            pipeline_before=pipeline_before,
-            padding_before=padding_before,
-            transport_before=transport_before,
+            before=before,
         )
     finally:
         if journal is not None:
             journal.close()
+
+
+def _reported(counters: Dict[str, Counters]) -> Dict[str, Counters]:
+    """The kinds a sweep reports: each that moved, and the cache whenever it is on."""
+    return {k: stats for k, stats in counters.items() if k == "cache" or not stats.empty()}
 
 
 def _dispatch_sweep(
@@ -585,9 +596,7 @@ def _dispatch_sweep(
     request_rank: Dict[Tuple[str, str], int],
     todo: List[Tuple[str, str]],
     replayed_cells: List[SweepCell],
-    pipeline_before,
-    padding_before,
-    transport_before,
+    before: Dict[str, Counters],
 ) -> SweepResult:
     """Engine dispatch shared by the journaled and plain paths."""
     rank = lambda c: request_rank[(c.model_name, c.property_name)]  # noqa: E731
@@ -606,7 +615,6 @@ def _dispatch_sweep(
                 workers=0,
                 execution="process",
                 backend=backend_desc,
-                cache_stats=None,
             )
         from repro.runtime.scheduler import WorkStealingSweep
 
@@ -641,10 +649,7 @@ def _dispatch_sweep(
             workers=engine_result.workers,
             execution="process",
             backend=backend_desc,
-            cache_stats=engine_result.cache_stats,
-            pipeline=engine_result.pipeline,
-            padding=engine_result.padding,
-            transport=engine_result.transport,
+            counters=_reported(engine_result.counters),
             scheduler=engine_result.scheduler,
         )
 
@@ -698,18 +703,12 @@ def _dispatch_sweep(
     cells.extend(replayed_cells)
     cells.sort(key=rank)
 
-    cache = getattr(observatory, "cache", None)
-    pipeline = observatory.pipeline_stats().since(pipeline_before)
-    padding = observatory.padding_stats()
-    if padding is not None and padding_before is not None:
-        padding = padding.since(padding_before)
-    if padding is not None and not padding.padded_batches:
-        padding = None  # padded backend configured but nothing was padded
-    transport = observatory.transport_stats()
-    if transport is not None and transport_before is not None:
-        transport = transport.since(transport_before)
-    if transport is not None and not transport.chunks:
-        transport = None  # remote configured but nothing crossed the wire
+    counters = {
+        # The cache reports cumulative totals: perfbench/worker.py
+        # subtracts its own before-snapshot.
+        kind: stats if kind == "cache" else stats.since(before[kind])
+        for kind, stats in observatory.counters().items()
+    }
     return SweepResult(
         cells=cells,
         skipped=skipped,
@@ -719,10 +718,5 @@ def _dispatch_sweep(
         workers=workers,
         execution=engine,
         backend=backend_desc,
-        # A copy: the cache's live counters keep moving with later sweeps
-        # on this Observatory.  The values stay cumulative.
-        cache_stats=dataclasses.replace(cache.stats) if cache is not None else None,
-        pipeline=pipeline if pipeline.batches else None,
-        padding=padding,
-        transport=transport,
+        counters=_reported(counters),
     )

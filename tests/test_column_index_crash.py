@@ -19,7 +19,7 @@ from repro.downstream.join_discovery import JoinDiscoveryIndex
 from repro.errors import ColumnIndexError
 from repro.index import ColumnIndex
 from repro.index.partitions import PLAN_VERSION
-from repro.index.store import LOCK_NAME, MANIFEST_NAME
+from repro.index.store import LOCK_NAME, MANIFEST_NAME, ShardStore
 
 DIM = 6
 N = 40
@@ -154,6 +154,21 @@ def test_stale_lock_is_reclaimed(tmp_path, corpus):
 
     index.append("late", np.ones(DIM))  # must not deadlock
     assert len(index) == N + 1
+    assert not os.path.exists(lock)
+
+
+def test_wedged_fresh_lock_is_reclaimed_after_timeout(tmp_path):
+    store = ShardStore(
+        str(tmp_path / "idx"), dim=DIM, create=True, lock_timeout=0.1, stale_age=60.0
+    )
+    lock = os.path.join(store.directory, LOCK_NAME)
+    with open(lock, "w") as handle:
+        handle.write("424242")  # a live holder that never returns
+    rows = np.ones((2, DIM), dtype=np.float32)
+    started = time.time()
+    store.append(["a", "b"], rows, np.linalg.norm(rows.astype(np.float64), axis=1))
+    assert time.time() - started >= 0.1
+    assert store.total_rows == 2
     assert not os.path.exists(lock)
 
 

@@ -320,6 +320,27 @@ class TestSweepThroughRemote:
         assert "Remote transport:" in text
         assert remote.to_dict()["transport"]["chunks"] > 0
 
+    def test_failed_traffic_is_reported(self, service):
+        # Both attempts of the only chunk get a 5xx: nothing crosses the
+        # wire successfully, the cell degrades, and the report still
+        # shows the requests that failed.
+        from repro.analysis.report import render_sweep
+
+        service.inject("http_500")
+        service.inject("http_500")
+        runtime = RuntimeConfig(
+            backend="remote",
+            transport=TransportConfig(urls=(service.url,), retries=1),
+            on_error="degrade",
+        )
+        sweep = Observatory(seed=0, sizes=SIZES, runtime=runtime).sweep(
+            ["bert"], ["row_order_insignificance"]
+        )
+        assert not sweep.cells and len(sweep.failures) == 1
+        assert sweep.transport.http_errors == 2
+        assert sweep.transport.chunks == 0
+        assert "Remote transport:" in render_sweep(sweep)
+
 
 class TestConfigWiring:
     def test_registered_backend(self):
@@ -497,12 +518,6 @@ class TestTransportStats:
         assert delta.replicas["http://b:2"].chunks == 1
         rendered = merged.to_dict()
         assert rendered["replicas"]["http://a:1"]["requests"] == 3
-
-    def test_copy_is_deep_for_replicas(self):
-        stats = TransportStats(replicas={"http://a:1": ReplicaStats(requests=1)})
-        snap = stats.copy()
-        stats.replicas["http://a:1"].requests += 1
-        assert snap.replicas["http://a:1"].requests == 1
 
 
 url_strategy = st.builds(

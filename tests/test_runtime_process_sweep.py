@@ -121,12 +121,6 @@ class TestMergedCacheStats:
         assert sweep.cache_stats is None
         assert sweep.to_dict()["cache"] is None
 
-    def test_merged_counters_sum(self):
-        parts = [CacheStats(hits=2, misses=3, puts=1), CacheStats(hits=5, disk_hits=4)]
-        total = CacheStats.merged(parts)
-        assert (total.hits, total.misses, total.puts, total.disk_hits) == (7, 3, 1, 4)
-        assert CacheStats.merged([]) == CacheStats()
-
 
 class TestExecutionResolution:
     def test_execution_recorded_and_rendered(self, process_sweep):

@@ -289,8 +289,8 @@ class TestRuntimeConfigBackends:
     def test_observatory_shares_one_backend(self):
         obs = Observatory(runtime=RuntimeConfig(exact=False))
         assert obs.model("bert").backend is obs.model("tapas").backend
-        assert obs.padding_stats() is not None
-        assert Observatory().padding_stats() is None
+        assert "padding" in obs.counters()
+        assert "padding" not in Observatory().counters()
 
 
 class TestEncodeLoopLifecycle:

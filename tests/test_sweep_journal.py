@@ -303,9 +303,10 @@ class TestFaultPolicy:
                 raise ValueError("injected cell fault")
             return real(self, model_name, property_name, **kwargs)
 
+        # Thread engine: spawned workers never see the monkeypatch.
         monkeypatch.setattr(framework.Observatory, "characterize", flaky)
         sweep = make_observatory(max_workers=1).sweep(
-            MODELS, PROPS, on_error="degrade"
+            MODELS, PROPS, on_error="degrade", execution="thread"
         )
         failed = {(f.model_name, f.property_name) for f in sweep.failures}
         assert failed == {("bert", "sample_fidelity")}
@@ -325,7 +326,7 @@ class TestFaultPolicy:
 
         monkeypatch.setattr(framework.Observatory, "characterize", broken)
         with pytest.raises(CellExecutionError) as info:
-            make_observatory(max_workers=1).sweep(MODELS, PROPS)
+            make_observatory(max_workers=1).sweep(MODELS, PROPS, execution="thread")
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_expired_deadline_aborts_typed(self):
@@ -343,6 +344,16 @@ class TestFaultPolicy:
         assert sweep.cells == []
         assert sweep.failures
         assert all(f.error == "DeadlineExceededError" for f in sweep.failures)
+
+    def test_sweep_with_every_cell_degraded_renders_its_failures(self):
+        policy = FaultPolicy(deadline=1e-6)
+        sweep = make_observatory(max_workers=1).sweep(
+            ["bert"], PROPS, fault_policy=policy, on_error="degrade", execution="thread"
+        )
+        assert not sweep.cells and not sweep.skipped
+        block = render_sweep(sweep).split("Degraded cells", 1)[1]
+        for property_name in PROPS:
+            assert f"- bert / {property_name}: DeadlineExceededError" in block
 
     def test_policy_round_trips_and_rejects_unknown_keys(self):
         policy = FaultPolicy(deadline=30.0, scheduler_retries=1)
