@@ -16,8 +16,9 @@ and perturbations.  This package removes that redundancy:
   serialization/fingerprinting overlap the forward passes (BLAS releases
   the GIL); :class:`PipelineStats` reports the overlap ratio.
 - :mod:`repro.runtime.disk` — :class:`DiskTier`, the bounded, indexed,
-  crash-safe persistent tier (versioned JSON index, byte/age LRU
-  eviction, atomic write-temp-then-rename, stale-lock reclaim).
+  crash-safe persistent tier (append-only index log replayed
+  incrementally, byte/age LRU eviction, atomic write-temp-then-rename,
+  stale-lock reclaim).
 - :mod:`repro.runtime.sweep` — ``Observatory.sweep``'s thread engine
   (the reference engine) and the per-cell runner both engines share,
   returning a structured :class:`SweepResult` (including skipped cells).

@@ -7,7 +7,7 @@ request kind (``"cells/<coords-hash>"``).  Values are either a single
 
 The memory tier is a thread-safe LRU bounded by entry count.  The optional
 disk tier (:class:`~repro.runtime.disk.DiskTier`) persists plain-array
-entries as ``.npy`` files governed by a versioned JSON index, a byte
+entries as ``.npy`` files governed by an append-only index log, a byte
 budget, and an age limit, so repeated benchmark runs — and the worker
 processes of a sharded sweep, which share the directory — only pay for
 what actually changed; dict-valued entries stay memory-only.  All

@@ -78,6 +78,17 @@ class TestBrokenIndex:
         (tmp_path / INDEX_NAME).write_text(payload[: len(payload) // 2])
         assert np.array_equal(DiskTier(str(tmp_path)).get("k"), np.ones(6))
 
+    def test_torn_append_repaired_by_next_writer(self, tmp_path, tier):
+        tier.put("k", np.ones(6))
+        log = tmp_path / INDEX_NAME
+        log.write_bytes(log.read_bytes()[:-4])  # crash inside the last record
+        assert DiskTier(str(tmp_path)).put("j", np.full(3, 2.0))
+        fresh = DiskTier(str(tmp_path))
+        # The writer rewrote the log: a reader replays it, no scan needed.
+        fresh._rebuild_index = lambda: pytest.fail("torn log left in place")
+        assert np.array_equal(fresh.get("k"), np.ones(6))
+        assert np.array_equal(fresh.get("j"), np.full(3, 2.0))
+
     def test_version_mismatch_rebuilt(self, tmp_path, tier):
         tier.put("k", np.ones(2))
         with open(tmp_path / INDEX_NAME, "w", encoding="utf-8") as handle:

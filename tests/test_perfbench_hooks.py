@@ -43,6 +43,27 @@ from repro.core.framework import Observatory
 for name in ("pipeline_stats", "prepare_property_data", "executor", "properties", "sweep"):
     if not callable(getattr(Observatory, name, None)):
         missing.append(f"worker.py: Observatory.{name}")
+
+# tracer.py stats DiskTier.index_path after every traced get and catches
+# only OSError, so it must stay a property naming a file in the directory.
+import tempfile
+
+import numpy as np
+
+from repro.runtime.disk import DiskTier
+
+if not isinstance(getattr(DiskTier, "index_path", None), property):
+    missing.append("tracer.py: DiskTier.index_path is not a property")
+else:
+    with tempfile.TemporaryDirectory() as directory:
+        tier = DiskTier(directory)
+        tier.put("probe", np.ones(2))
+        path = tier.index_path
+        if not (
+            os.path.isfile(path)
+            and os.path.samefile(os.path.dirname(path), directory)
+        ):
+            missing.append(f"tracer.py: DiskTier.index_path {path!r} is no file in the tier")
 print("\n".join(missing) if missing else "ok")
 """
 
