@@ -162,7 +162,7 @@ def render_sweep(sweep: SweepResult) -> str:
     lines.append(
         f"Ran {ran} cells in {sweep.seconds:.2f}s "
         f"on {sweep.workers} {sweep.execution} worker(s); "
-        f"encoder backend: {sweep.backend}."
+        f"encoder backend: {sweep.backend}; BLAS: {sweep.blas}."
     )
     if sweep.replayed:
         lines.append(

@@ -13,15 +13,35 @@ relative-distance attention bias, or none), attention masks (full, TaBERT's
 vertical column-local, TapTap's row-local), output normalization, and the
 anisotropic output amplification that reproduces T5's stretched embedding
 geometry.
+
+Attention folds the mask and the relative-distance bias into one additive
+per-sequence term (:meth:`Encoder._score_term`) and computes the weights
+in :func:`_attend`, the one helper :meth:`Encoder.encode` and both stacked
+forwards call, so all three keep one op sequence.  The term is ``None``
+when it is all zero (a FULL mask without RELATIVE positions, 7 of the 9
+zoo models), so nothing is added; otherwise it is
+``np.where(mask, bias, -1e9)``.  For a visible entry that equals the
+unfolded ``s + bias + 0``; a masked entry becomes ``-1e9`` rather than
+``bias - 1e9``, and both are exactly 0 after the softmax because the
+diagonal is always visible.  The softmax runs in place on the fresh
+``q @ k.T`` product.
+
+The encoder keeps no scratch state between calls: every scratch array is
+allocated inside the call, because one :class:`Encoder` serves the sweep
+workers, the encode loop's executor threads and the service runners at
+once.  Importing this module pins numpy's OpenBLAS to one thread
+(:mod:`repro.models.blas`), so its bits do not depend on the host's core
+count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.models.backends import resolve_backend
+from repro.models.blas import pin_one_thread
 from repro.models.config import AttentionMask, ModelConfig, OutputNorm, PositionKind
 from repro.models.token_array import (
     CONTENT_ANISOTROPY,
@@ -35,6 +55,10 @@ from repro.models.token_array import (
 from repro.models.weights import ModelWeights
 
 _LN_EPS = 1e-6
+
+# Before any thread of ours exists: every ``import repro…`` imports this
+# module, so every process that encodes runs one BLAS thread.
+pin_one_thread()
 
 # Back-compat alias: the anisotropic content mixing now lives with the
 # interner (repro.models.token_array), which owns the content vectors.
@@ -63,9 +87,32 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Out-of-place softmax: the reference plane's oracle (see :func:`_attend`)."""
     shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _attend(
+    q: np.ndarray, k: np.ndarray, scale: float, term: Optional[np.ndarray]
+) -> np.ndarray:
+    """Attention weights ``softmax(q @ k^T * scale + term)`` over the last axis.
+
+    ``q``/``k`` are one head ([L, d]) or stacked heads ([B, H, L, d]);
+    ``term`` is the folded mask and bias (:meth:`Encoder._score_term`),
+    ``None`` when it is all zero.  The fresh ``q @ k^T`` product is this
+    call's own scratch array, so scaling, the term, the max shift, exp
+    and the normalization all run in place on it — the same values, op
+    for op, as ``_softmax((q @ k.T) * scale + term)``.
+    """
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= scale
+    if term is not None:
+        scores += term
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 class Encoder:
@@ -82,10 +129,6 @@ class Encoder:
         self._segment_matrix = self.weights.segment_matrix(
             tuple(role.value for role in ROLE_ORDER)
         )
-        # attention_bias is a pure function of (length, relative_tau) and
-        # relative_tau is fixed per encoder — memoize by length.  Cached
-        # arrays are marked read-only; the forward passes only add them.
-        self._bias_cache: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Input embedding
@@ -154,26 +197,26 @@ class Encoder:
 
     def attention_bias(self, tokens: TokenSequence) -> np.ndarray:
         """Additive [L, L] score bias (relative-distance decay for T5)."""
-        return self.bias_for_length(len(tokens))
+        n = len(tokens)
+        if self.config.position_kind != PositionKind.RELATIVE:
+            return np.zeros((n, n), dtype=np.float64)
+        idx = np.arange(n, dtype=np.float64)
+        distance = np.abs(idx[:, None] - idx[None, :])
+        return -distance / self.config.relative_tau
 
-    def bias_for_length(self, n: int) -> np.ndarray:
-        """Memoized :meth:`attention_bias` keyed by sequence length.
+    def _score_term(self, tokens: TokenSequence) -> Optional[np.ndarray]:
+        """The per-sequence [L, L] score term: mask and bias folded into one.
 
-        The bias depends only on ``(length, relative_tau)``; recomputing
-        the [L, L] distance matrix per sequence was pure waste.  Returned
-        arrays are read-only and shared — callers add, never mutate.
+        ``None`` when both are zero (a FULL mask without RELATIVE
+        positions), ``np.where(mask, bias, -1e9)`` otherwise; see the
+        module docstring for why the fold changes no output bit.
         """
-        cached = self._bias_cache.get(n)
-        if cached is None:
-            if self.config.position_kind != PositionKind.RELATIVE:
-                cached = np.zeros((n, n), dtype=np.float64)
-            else:
-                idx = np.arange(n, dtype=np.float64)
-                distance = np.abs(idx[:, None] - idx[None, :])
-                cached = -distance / self.config.relative_tau
-            cached.flags.writeable = False
-            self._bias_cache[n] = cached
-        return cached
+        cfg = self.config
+        relative = cfg.position_kind == PositionKind.RELATIVE
+        if cfg.attention_mask == AttentionMask.FULL:
+            return self.attention_bias(tokens) if relative else None
+        bias = self.attention_bias(tokens) if relative else 0.0
+        return np.where(self.attention_mask(tokens), bias, -1e9)
 
     # ------------------------------------------------------------------
     # Forward pass
@@ -202,18 +245,20 @@ class Encoder:
         )
 
     def _transform_stacked(
-        self, x: np.ndarray, neg: np.ndarray, bias: np.ndarray
+        self, x: np.ndarray, term: Optional[np.ndarray]
     ) -> np.ndarray:
         """Layer loop + output head shared by both stacked forwards.
 
-        ``x`` is [B, L, D]; ``neg``/``bias`` broadcast over [B, H, L, L].
-        Heads are carried as an explicit tensor axis ([B, H, L, d]) instead
-        of the per-head Python loop of :meth:`encode`; the reshape is pure
-        reindexing and every 2D matmul slice keeps the shapes of the
-        single-sequence path, so same-length outputs stay bit-identical to
-        it.  Keeping this in ONE place is a numerics requirement: the
-        padded forward's tolerance contract assumes it runs the exact same
-        op sequence as the exact forward.
+        ``x`` is [B, L, D]; ``term`` ([B, 1, L, L] or ``None``) is the
+        folded score term broadcast over the heads.  Heads are carried as
+        an explicit tensor axis ([B, H, L, d]) instead of the per-head
+        Python loop of :meth:`encode`; the reshape is pure reindexing,
+        every 2D matmul slice keeps the shapes of the single-sequence path,
+        and the attention weights come from the same :func:`_attend`, so
+        same-length outputs stay bit-identical to it.  Keeping this in ONE
+        place is a numerics requirement: the padded forward's tolerance
+        contract assumes it runs the exact same op sequence as the exact
+        forward.
         """
         cfg = self.config
         batch, length = x.shape[0], x.shape[1]
@@ -230,8 +275,7 @@ class Encoder:
             q = heads(h @ layer.wq)
             k = heads(h @ layer.wk)
             v = heads(h @ layer.wv)
-            scores = (q @ np.swapaxes(k, 2, 3)) * scale + bias + neg
-            attn = _softmax(scores) @ v  # [B, H, L, d]
+            attn = _attend(q, k, scale, term) @ v  # [B, H, L, d]
             attn_out = attn.transpose(0, 2, 1, 3).reshape(batch, length, cfg.dim)
             x = x + cfg.attention_gain * (attn_out @ layer.wo)
             h = _layer_norm(x)
@@ -255,11 +299,9 @@ class Encoder:
         :meth:`_transform_stacked`).
         """
         x = np.stack([self.embed_tokens(tokens) for tokens in token_lists])
-        mask = np.stack([self.attention_mask(tokens) for tokens in token_lists])
-        # The additive bias depends only on sequence length, shared here.
-        bias = self.attention_bias(token_lists[0])[None, None, :, :]
-        neg = np.where(mask, 0.0, -1e9)[:, None, :, :]
-        x = self._transform_stacked(x, neg, bias)
+        terms = [self._score_term(tokens) for tokens in token_lists]
+        term = None if terms[0] is None else np.stack(terms)[:, None]
+        x = self._transform_stacked(x, term)
         return [x[b] for b in range(len(token_lists))]
 
     def forward_padded(self, token_lists: Sequence[TokenSequence]) -> List[np.ndarray]:
@@ -274,24 +316,21 @@ class Encoder:
 
         Outputs are within :data:`~repro.models.backends.PADDED_TOLERANCE`
         of the per-sequence forward, not bit-identical: BLAS kernel choice
-        and numpy's pairwise-summation tree depend on matrix shape.  The
-        relative-distance attention bias is safely shared because it only
-        depends on absolute index distance — the top-left [L, L] corner of
-        the longest sequence's bias *is* a length-L sequence's bias.
+        and numpy's pairwise-summation tree depend on matrix shape.  Each
+        sequence's own folded score term fills the top-left [L, L] corner
+        of its slot; the rest of the slot is masked.
         """
         batch = len(token_lists)
         lengths = [len(tokens) for tokens in token_lists]
         length = max(lengths)
         x = np.zeros((batch, length, self.config.dim), dtype=np.float64)
-        neg = np.full((batch, 1, length, length), -1e9, dtype=np.float64)
+        term = np.full((batch, 1, length, length), -1e9, dtype=np.float64)
         for b, tokens in enumerate(token_lists):
             n = lengths[b]
             x[b, :n] = self.embed_tokens(tokens)
-            mask = self.attention_mask(tokens)
-            neg[b, 0, :n, :n] = np.where(mask, 0.0, -1e9)
-        longest = token_lists[lengths.index(length)]
-        bias = self.attention_bias(longest)[None, None, :, :]
-        x = self._transform_stacked(x, neg, bias)
+            own = self._score_term(tokens)
+            term[b, 0, :n, :n] = 0.0 if own is None else own
+        x = self._transform_stacked(x, term)
         return [x[b, : lengths[b]] for b in range(batch)]
 
     def encode(self, tokens: TokenSequence) -> np.ndarray:
@@ -301,9 +340,7 @@ class Encoder:
             return np.zeros((0, self.config.dim), dtype=np.float64)
         cfg = self.config
         x = self.embed_tokens(tokens)
-        mask = self.attention_mask(tokens)
-        bias = self.attention_bias(tokens)
-        neg = np.where(mask, 0.0, -1e9)
+        term = self._score_term(tokens)
         n_heads = cfg.n_heads
         head_dim = cfg.dim // n_heads
         scale = cfg.attention_temperature / np.sqrt(head_dim)
@@ -316,8 +353,7 @@ class Encoder:
             attn_out = np.empty_like(x)
             for head in range(n_heads):
                 sl = slice(head * head_dim, (head + 1) * head_dim)
-                scores = (q[:, sl] @ k[:, sl].T) * scale + bias + neg
-                attn_out[:, sl] = _softmax(scores) @ v[:, sl]
+                attn_out[:, sl] = _attend(q[:, sl], k[:, sl], scale, term) @ v[:, sl]
             x = x + cfg.attention_gain * (attn_out @ layer.wo)
             h = _layer_norm(x)
             x = x + np.maximum(h @ layer.w1, 0.0) @ layer.w2

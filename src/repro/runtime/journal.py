@@ -17,7 +17,8 @@ Design rules, each earned by a crash mode:
 
 - **Plan fingerprint header.**  ``plan.json`` records a SHA-256 over the
   sweep's identity — seed, dataset sizes, models, properties, backend
-  namespace, and the runnable cell list.  Resume refuses a journal whose
+  namespace, BLAS regime (:func:`~repro.models.blas.blas_regime`), and
+  the runnable cell list.  Resume refuses a journal whose
   fingerprint differs (:class:`~repro.errors.StaleJournalError`): mixing
   cells computed under different numerics would be silent corruption.
   The fingerprint deliberately *excludes* execution mode and worker
@@ -153,7 +154,8 @@ class SweepJournal:
             JournalError: no journal exists at ``directory``, or its
                 header is unreadable.
             StaleJournalError: the journal was written for a different
-                plan (models, corpora, sizes, seed, or backend differ).
+                plan (models, corpora, sizes, seed, backend, or BLAS
+                regime differ).
         """
         plan_path = os.path.join(directory, PLAN_FILE)
         try:
@@ -184,7 +186,8 @@ class SweepJournal:
                 f"journal at {directory!r} was written for a different sweep "
                 f"plan (journal fingerprint {header['fingerprint'][:12]}…, "
                 f"requested {fingerprint[:12]}…); models, corpora, sizes, "
-                "seed, or backend changed — start a fresh journal instead"
+                "seed, backend, or BLAS regime changed — start a fresh "
+                "journal instead"
             )
         completed, dropped = _replay_segments(directory)
         next_index = _next_segment_index(directory)

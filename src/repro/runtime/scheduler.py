@@ -507,10 +507,13 @@ class GroupScheduler:
                                 raise error
                         else:
                             telemetry.salvaged_groups += 1
-                            # Front of the queue: a salvaged group is
-                            # already late, so it outranks everything
-                            # still pending.
-                            pending.appendleft(group)
+                            # Back of the queue: a group that just killed
+                            # a worker may kill the next one too, so the
+                            # groups never tried run first.  At the front
+                            # it could reach a worker that posts "ready"
+                            # after the crash, kill it as well, and leave
+                            # every healthy group undispatched.
+                            pending.append(group)
                 if not live and settled() < len(self.groups):
                     missing = [
                         g

@@ -50,6 +50,7 @@ from repro.core.results import PropertyResult, SkippedCell
 from repro.errors import CellExecutionError, ObservatoryError
 from repro.models.backends.padded import PaddingStats
 from repro.models.backends.remote import TransportStats
+from repro.models.blas import blas_regime
 from repro.runtime.cache import CacheStats
 from repro.runtime.faults import Deadline, FaultPolicy
 from repro.runtime.pipeline import PipelineStats
@@ -277,6 +278,9 @@ class SweepResult:
         execution: engine that ran the cells (``"thread"``/``"process"``).
         backend: encoder-backend description (name, tier width, tolerance)
             the sweep's embeddings went through.
+        blas: the BLAS regime that computed them
+            (:func:`~repro.models.blas.blas_regime`: OpenBLAS core and
+            thread count, or ``"unpinned: <reason>"``).
         counters: this sweep's runtime counters by kind (the kinds of
             :meth:`~repro.core.framework.Observatory.counters`), merged
             across worker processes; read them as :attr:`cache_stats`,
@@ -298,6 +302,7 @@ class SweepResult:
     workers: int = 1
     execution: str = "thread"
     backend: str = "local (exact)"
+    blas: str = dataclasses.field(default_factory=blas_regime)
     counters: Dict[str, Counters] = dataclasses.field(default_factory=dict)
     scheduler: Optional["SchedulerTelemetry"] = None  # noqa: F821
 
@@ -364,6 +369,7 @@ class SweepResult:
             "workers": self.workers,
             "execution": self.execution,
             "backend": self.backend,
+            "blas": self.blas,
             # Readers expect all four keys; a kind that did not move is None.
             **dict.fromkeys(("cache", "pipeline", "padding", "transport")),
             **{kind: stats.to_dict() for kind, stats in self.counters.items()},
@@ -452,17 +458,19 @@ def _sweep_plan(
     runnable: Sequence[Tuple[str, str]],
 ) -> Dict[str, object]:
     """The journal's plan-fingerprint payload: everything cell results
-    depend on (seed, sizes, models, properties, backend numerics, and the
-    runnable matrix) and nothing they don't — execution mode and worker
-    count are deliberately absent, since results are bit-identical across
-    engines by contract and a thread-engine journal may resume under the
-    process engine."""
+    depend on (seed, sizes, models, properties, backend numerics, the BLAS
+    regime, and the runnable matrix) and nothing they don't — execution
+    mode and worker count are deliberately absent, since results are
+    bit-identical across engines by contract and a thread-engine journal
+    may resume under the process engine.  A journal written under another
+    BLAS regime is refused rather than resumed into mixed bits."""
     return {
         "seed": observatory.seed,
         "sizes": dataclasses.asdict(observatory.sizes),
         "models": list(model_names),
         "properties": list(property_names),
         "backend": backend_desc,
+        "blas": blas_regime(),
         "cells": [[m, p] for m, p in runnable],
     }
 

@@ -70,6 +70,7 @@ from repro.errors import (
     ServiceOverloadedError,
     TableError,
 )
+from repro.models.blas import blas_regime
 from repro.relational.table import Table
 from repro.runtime.faults import FaultPolicy
 from repro.runtime.journal import PLAN_FILE, iter_records
@@ -781,6 +782,7 @@ class CharacterizationService:
             ),
             "state_dir": self._state_dir,
             "backend": self._observatory.backend_description(),
+            "blas": blas_regime(),
         }
 
 

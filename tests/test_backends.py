@@ -32,10 +32,18 @@ from repro.models.backends import (
     register_backend,
     resolve_backend,
 )
+from repro.models import reference_plane
 from repro.models.config import Serialization
 from repro.models.registry import load_model
+from repro.models.token_array import TokenArray
 from repro.relational.table import Table
-from tests.conftest import cached_model
+from tests.conftest import (
+    ATTENTION_IDS,
+    ATTENTION_PAIRS,
+    attention_encoder,
+    cached_model,
+    table_tokens,
+)
 
 
 def has_flat_serializer(model) -> bool:
@@ -132,6 +140,37 @@ class TestExactBitIdentity:
         afresh = asyncio.run(bert.encoder.aencode_batch(token_lists, batch_size=4))
         for a, b in zip(sync, afresh):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "position_kind,attention_mask",
+    ATTENTION_PAIRS,
+    ids=ATTENTION_IDS,
+)
+@settings(max_examples=6, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=56), min_size=2, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_folded_attention_across_forwards(position_kind, attention_mask, lengths, seed):
+    """Every forward over the folded mask + bias term, for every positions x
+    mask pair: ``LocalBackend`` batches and ``forward_batch`` equal the
+    reference forward bit for bit; ``forward_padded`` stays within
+    :data:`PADDED_TOLERANCE`."""
+    encoder = attention_encoder(position_kind, attention_mask)
+    tokens = [table_tokens(n, seed + i) for i, n in enumerate(lengths)]
+    arrays = [TokenArray.from_tokens(t) for t in tokens]
+    reference = [reference_plane.encode_reference(encoder, t) for t in tokens]
+    batched = LocalBackend().encode_batch(encoder, arrays, batch_size=3)
+    for got, want in zip(batched, reference):
+        assert np.array_equal(got, want)
+    for n in set(lengths):
+        same = [i for i, length in enumerate(lengths) if length == n]
+        for i, got in zip(same, encoder.forward_batch([arrays[i] for i in same])):
+            assert np.array_equal(got, reference[i])
+    for got, want in zip(encoder.forward_padded(arrays), reference):
+        assert got.shape == want.shape
+        assert max_relative_error(got, want) <= PADDED_TOLERANCE
 
 
 class TestPaddedTolerance:

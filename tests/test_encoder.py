@@ -1,12 +1,17 @@
 """Tests for the numpy transformer encoder."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 
+from repro.models.backends import LocalBackend
 from repro.models.config import AttentionMask, ModelConfig, OutputNorm, PositionKind
 from repro.models.encoder import Encoder
 from repro.models.serializers import Token, TokenRole
+from repro.models.token_array import TokenArray
+from tests.conftest import cached_model, table_tokens
 
 
 def tokens_of(pieces, rows=None, cols=None, roles=None):
@@ -163,3 +168,46 @@ def test_attention_gain_changes_output():
     a = Encoder(BASE).encode(toks)
     b = Encoder(dataclasses.replace(BASE, attention_gain=3.0)).encode(toks)
     assert not np.allclose(a, b)
+
+
+def test_concurrent_forwards_on_one_encoder_match_serial():
+    """One encoder serves sweep workers, encode-loop threads and service
+    runners at once: no call may see another's scratch state."""
+    encoder = cached_model("tabert").encoder  # a local mask: a score term exists
+    lengths = [10, 450, 37, 200, 10, 300, 48, 120, 37, 450, 64]
+    sequences = [TokenArray.from_tokens(table_tokens(n, i)) for i, n in enumerate(lengths)]
+    serial = [encoder.encode(s) for s in sequences]
+    start = threading.Barrier(4)
+    outputs, errors = [], []
+
+    def work(worker: int) -> None:
+        try:
+            start.wait()
+            for round_ in range(3):
+                # Rotate so threads hit different lengths at the same moment.
+                shift = (worker + round_) % len(sequences)
+                order = list(range(shift, len(sequences))) + list(range(shift))
+                batch = [sequences[i] for i in order]
+                if (worker + round_) % 2:
+                    got = LocalBackend().encode_batch(encoder, batch, batch_size=4)
+                else:
+                    got = [encoder.encode(s) for s in batch]
+                outputs.extend(zip(order, got))
+        except Exception as exc:  # surfaced below, with the thread's error
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' Python steps often
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(outputs) == 4 * 3 * len(sequences)
+    for i, got in outputs:
+        assert np.array_equal(got, serial[i]), f"sequence {i} ({lengths[i]} tokens)"

@@ -216,26 +216,36 @@ class FakeWorker(threading.Thread):
 
     ``crash`` makes the thread die silently the first time it receives a
     group (``is_alive()`` goes False — exactly what the scheduler's
-    liveness poll sees for a dead process).  ``delay`` simulates a
-    straggler grinding each group.
+    liveness poll sees for a dead process); ``crash_groups`` makes it die
+    only on those group ids.  ``delay`` simulates a straggler grinding
+    each group.  ``ready_after`` names a worker that must be dead, and
+    reaped, before this one posts ``ready`` (a slow spawn).
     """
 
-    def __init__(self, worker_id, results, *, crash=False, delay=0.0):
+    def __init__(
+        self, worker_id, results, *, crash=False, delay=0.0, crash_groups=(),
+        ready_after=None,
+    ):
         super().__init__(daemon=True)
         self.worker_id = worker_id
         self.results = results
         self.inbox = queue.Queue()
         self.crash = crash
         self.delay = delay
+        self.crash_groups = set(crash_groups)
+        self.ready_after = ready_after
 
     def run(self):
+        if self.ready_after is not None:
+            self.ready_after.join()
+            time.sleep(0.3)  # the scheduler reaps a dead worker every poll (0.01s)
         self.results.put(("ready", self.worker_id))
         while True:
             message = self.inbox.get()
             if message[0] == "stop":
                 return
             _, group_id, cells, _duplicate = message
-            if self.crash:
+            if self.crash or group_id in self.crash_groups:
                 return  # simulated hard death mid-group
             if self.delay:
                 time.sleep(self.delay)
@@ -321,6 +331,21 @@ class TestGroupSchedulerProperties:
         workers = [FakeWorker(i, results, crash=True) for i in range(3)]
         with pytest.raises(ObservatoryError, match=r"poisoned.*m0/p0"):
             run_fake(groups, workers, max_retries=1)
+
+    def test_salvaged_group_queues_behind_untried_groups(self):
+        # Worker 0 dies on group 0 and is reaped before worker 1 is ready.
+        # Were the salvaged group re-queued at the front, worker 1 would
+        # take it, die too, and group 1 would never run.
+        groups, cells = groups_from_spec([1, 1])
+        results = queue.Queue()
+        first = FakeWorker(0, results, crash_groups={0})
+        second = FakeWorker(1, results, crash_groups={0}, ready_after=first)
+        run = run_fake(groups, [first, second], max_retries=1, on_error="degrade")
+        assert run.payloads == {1: {"cells": [cells[1]]}}
+        assert list(run.failures) == [0]
+        assert "m0/p0" in str(run.failures[0])
+        dispatched = [(e["worker"], e["group"]) for e in run.telemetry.dispatch_log]
+        assert dispatched == [(0, 0), (1, 1), (1, 0)]
 
     def test_empty_groups_short_circuit(self):
         run = GroupScheduler([]).run([], queue.Queue())

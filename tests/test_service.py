@@ -44,6 +44,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.index import ColumnIndex
+from repro.models.blas import blas_regime
 from repro.runtime.journal import SweepJournal, iter_records
 from repro.service import (
     CharacterizationService,
@@ -327,7 +328,9 @@ class TestRequestPlane:
             assert repeat["status"] == "done"
             assert repeat["cache_hit"] is True
             assert repeat["result"]["cells"]
-            assert client.stats()["cache"]["hits"] == before + 1
+            stats = client.stats()
+            assert stats["cache"]["hits"] == before + 1
+            assert stats["blas"] == blas_regime()
         finally:
             client.close()
 

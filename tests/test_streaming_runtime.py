@@ -15,6 +15,7 @@ from repro.core.framework import DatasetSizes, Observatory
 from repro.core.levels import EmbeddingLevel
 from repro.errors import ObservatoryError
 from repro.models.backends import PaddedBackend
+from repro.models.blas import blas_regime
 from repro.models.registry import load_model, register_model, unregister_model
 from repro.relational.table import Table
 from repro.runtime.cache import EmbeddingCache
@@ -207,6 +208,7 @@ class TestSweepObservability:
         assert slowest[0].seconds == max(c.seconds for c in sweep.cells)
         payload = sweep.to_dict()
         assert payload["backend"] == "local (exact)"
+        assert payload["blas"] == sweep.blas == blas_regime()
         assert "encode_seconds" in payload["cells"][0]
 
     def test_process_engine_carries_phase_splits(self):
@@ -223,7 +225,7 @@ class TestSweepObservability:
         observatory = Observatory(seed=0, sizes=self.SIZES)
         sweep = observatory.sweep(["bert"], self.PROPS)
         rendered = render_sweep(sweep)
-        assert "encoder backend: local (exact)" in rendered
+        assert f"encoder backend: local (exact); BLAS: {blas_regime()}." in rendered
         assert "Slowest cells" in rendered
         assert "encode " in rendered
 

@@ -30,6 +30,7 @@ from repro.errors import (
     ObservatoryError,
     StaleJournalError,
 )
+from repro.models.blas import blas_regime
 from repro.runtime.faults import Deadline, FaultPolicy
 from repro.runtime.journal import (
     PLAN_FILE,
@@ -286,6 +287,26 @@ class TestSweepResume:
         )
         with pytest.raises(StaleJournalError):
             other.sweep(MODELS, PROPS, journal_dir=journal_dir, resume=True)
+
+    def test_resume_refuses_a_journal_from_another_blas_regime(self, tmp_path):
+        journal_dir = str(tmp_path / "journal")
+        first = make_observatory(max_workers=1).sweep(
+            MODELS, PROPS[:1], journal_dir=journal_dir
+        )
+        plan_path = os.path.join(journal_dir, PLAN_FILE)
+        with open(plan_path, encoding="utf-8") as handle:
+            header = json.load(handle)
+        assert header["plan"]["blas"] == first.blas == blas_regime()
+        # Forge the journal as if written under another OpenBLAS core:
+        # resuming it would mix bits from two regimes.
+        header["plan"]["blas"] = "Haswell, 1 thread"
+        header["fingerprint"] = plan_fingerprint(header["plan"])
+        with open(plan_path, "w", encoding="utf-8") as handle:
+            json.dump(header, handle)
+        with pytest.raises(StaleJournalError, match="BLAS regime"):
+            make_observatory(max_workers=1).sweep(
+                MODELS, PROPS[:1], journal_dir=journal_dir, resume=True
+            )
 
     def test_resume_requires_journal_dir(self):
         with pytest.raises(ObservatoryError, match="journal_dir"):

@@ -47,7 +47,13 @@ from repro.models.token_array import (
 from repro.relational.table import Table
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocab import CLS, SEP
-from tests.conftest import cached_model
+from tests.conftest import (
+    ATTENTION_IDS,
+    ATTENTION_PAIRS,
+    attention_encoder,
+    cached_model,
+    table_tokens,
+)
 
 # ----------------------------------------------------------------------
 # Hypothesis round-trip: Token list <-> TokenArray
@@ -322,13 +328,13 @@ def test_backends_on_token_arrays(name):
         assert max_relative_error(got, want) <= PADDED_TOLERANCE
 
 
-def test_attention_bias_memoized_by_length():
+def test_attention_bias_values():
     from repro.models.config import ModelConfig, PositionKind
     from repro.models.encoder import Encoder
 
     encoder = Encoder(
         ModelConfig(
-            name="bias-memo-test",
+            name="bias-test",
             dim=16,
             n_layers=1,
             n_heads=2,
@@ -336,13 +342,34 @@ def test_attention_bias_memoized_by_length():
             relative_tau=4.0,
         )
     )
-    a = encoder.bias_for_length(24)
-    b = encoder.bias_for_length(24)
-    assert a is b  # same cached object
-    assert not a.flags.writeable
+    a = encoder.attention_bias(table_tokens(24, 0))
     idx = np.arange(24, dtype=np.float64)
     expected = -np.abs(idx[:, None] - idx[None, :]) / encoder.config.relative_tau
     assert np.array_equal(a, expected)
+
+
+@pytest.mark.parametrize(
+    "position_kind,attention_mask",
+    ATTENTION_PAIRS,
+    ids=ATTENTION_IDS,
+)
+@settings(max_examples=8, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=72), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_folded_attention_bit_identical_for_every_configuration(
+    position_kind, attention_mask, lengths, seed
+):
+    """The folded mask + bias term changes no bit of ``encode``, including
+    RELATIVE positions under a local mask, which no zoo model exercises."""
+    encoder = attention_encoder(position_kind, attention_mask)
+    for i, n in enumerate(lengths):
+        tokens = table_tokens(n, seed + i)
+        assert np.array_equal(
+            encoder.encode(TokenArray.from_tokens(tokens)),
+            reference_plane.encode_reference(encoder, tokens),
+        )
 
 
 # ----------------------------------------------------------------------
