@@ -3,11 +3,13 @@
 An :class:`EncoderBackend` owns the *batching strategy* of an
 :class:`~repro.models.encoder.Encoder`: given many token sequences, it
 decides how they are grouped, padded (or not), and driven through the
-encoder's forward passes.  The encoder keeps the transformer math; the
-backend keeps the scheduling policy.  This is the seam that lets the
-runtime swap exact same-length batching (:class:`LocalBackend`) for
-padded tolerance-tier batching (:class:`PaddedBackend`) — and, later,
-remote or GPU encoders — without touching models, properties, or the
+encoder's one forward (``encode`` for one sequence, ``forward_batch``,
+alias ``forward_padded``, for a stack).  The encoder keeps the
+transformer math; the backend keeps the scheduling policy.  This is the
+seam that lets the runtime swap exact same-length batching
+(:class:`LocalBackend`) for padded tolerance-tier batching
+(:class:`PaddedBackend`, the same grouping loop keyed by length tiers)
+or a remote encoder fleet without touching models, properties, or the
 planner.
 
 Every backend also exposes :meth:`aencode_batch`, the awaitable variant
@@ -30,7 +32,10 @@ from repro.models.token_array import TokenSequence
 
 # Above this token count the [B, L, L] attention temporaries of a stacked
 # batch exceed CPU cache and batched encoding measures *slower* than
-# sequence-at-a-time; backends fall back to singles past it.
+# sequence-at-a-time; backends fall back to singles past it.  48 was
+# measured when stacked forwards carried the heads as a tensor axis; the
+# forward now loops over heads, and the cutoff is unchanged (not yet
+# re-measured).
 BATCH_MAX_LENGTH = 48
 
 
@@ -72,8 +77,9 @@ class EncoderBackend(abc.ABC):
         """Encode every sequence; results in input order.
 
         ``encoder`` is the owning :class:`~repro.models.encoder.Encoder`;
-        backends call its ``encode``/``forward_batch``/``forward_padded``
-        primitives rather than reimplementing the transformer.
+        backends call its ``encode`` and ``forward_batch``/``forward_padded``
+        (one function under two names) rather than reimplementing the
+        transformer.
         """
 
     async def aencode_batch(

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.models.backends.base import BATCH_MAX_LENGTH, EncoderBackend
+from repro.models.backends.local import LocalBackend
 from repro.models.token_array import TokenSequence
 from repro.telemetry import Counters
 
@@ -61,24 +61,22 @@ class PaddingStats(Counters):
         return self.padded_tokens / total if total else 0.0
 
 
-class PaddedBackend(EncoderBackend):
-    """Length-bucketed padded batching; tolerance documented above."""
+class PaddedBackend(LocalBackend):
+    """Length-bucketed padded batching; tolerance documented above.
+
+    The grouping loop is :class:`LocalBackend`'s; only the grouping key
+    (a tier of ``tier_width`` lengths) and the chunk forward differ.
+    """
 
     name = "padded"
     exact = False
     counters_kind = "padding"
     tolerance = PADDED_TOLERANCE
 
-    def __init__(
-        self,
-        *,
-        tier_width: int = DEFAULT_TIER_WIDTH,
-        max_batch_length: int = BATCH_MAX_LENGTH,
-    ):
+    def __init__(self, *, tier_width: int = DEFAULT_TIER_WIDTH):
         if tier_width < 1:
             raise ValueError("tier_width must be positive")
         self.tier_width = tier_width
-        self.max_batch_length = max_batch_length
         self.stats = PaddingStats()
         self._stats_lock = threading.Lock()
 
@@ -93,47 +91,18 @@ class PaddedBackend(EncoderBackend):
     def _tier(self, length: int) -> int:
         return (length - 1) // self.tier_width
 
-    def encode_batch(
-        self, encoder, token_lists: Sequence[TokenSequence], batch_size: int = 8
-    ) -> List[np.ndarray]:
-        results: List[Optional[np.ndarray]] = [None] * len(token_lists)
-        tiers: Dict[int, List[int]] = {}
-        for i, tokens in enumerate(token_lists):
-            if not tokens:
-                results[i] = np.zeros((0, encoder.config.dim), dtype=np.float64)
-            elif len(tokens) > self.max_batch_length:
-                # Long sequences are slower batched than alone (the same
-                # cache cliff LocalBackend respects) — padding would only
-                # add waste on top.
-                results[i] = encoder.encode(tokens)
-            else:
-                tiers.setdefault(self._tier(len(tokens)), []).append(i)
-        for indices in tiers.values():
-            for start in range(0, len(indices), max(1, batch_size)):
-                chunk = indices[start : start + max(1, batch_size)]
-                if len(chunk) == 1:
-                    results[chunk[0]] = encoder.encode(token_lists[chunk[0]])
-                    continue
-                chunk_lists = [token_lists[i] for i in chunk]
-                lengths = [len(t) for t in chunk_lists]
-                if len(set(lengths)) == 1:
-                    # Uniform chunk: the exact stacked forward is both
-                    # faster and closer; padding would be pure waste.
-                    states = encoder.forward_batch(chunk_lists)
-                else:
-                    states = encoder.forward_padded(chunk_lists)
-                    self._record(lengths)
-                for i, arr in zip(chunk, states):
-                    results[i] = arr
-        return results
-
-    def _record(self, lengths: List[int]) -> None:
+    def _forward(self, encoder, token_lists: List[TokenSequence]) -> List[np.ndarray]:
+        # A same-length chunk needs no padding and forward_padded runs it
+        # unpadded (bit-identical to encode), so only mixed chunks count.
+        lengths = [len(tokens) for tokens in token_lists]
         longest = max(lengths)
-        with self._stats_lock:
-            self.stats.sequences += len(lengths)
-            self.stats.padded_batches += 1
-            self.stats.real_tokens += sum(lengths)
-            self.stats.padded_tokens += sum(longest - n for n in lengths)
+        if min(lengths) < longest:
+            with self._stats_lock:
+                self.stats.sequences += len(lengths)
+                self.stats.padded_batches += 1
+                self.stats.real_tokens += sum(lengths)
+                self.stats.padded_tokens += sum(longest - n for n in lengths)
+        return encoder.forward_padded(token_lists)
 
 
 def max_relative_error(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -14,17 +14,23 @@ vertical column-local, TapTap's row-local), output normalization, and the
 anisotropic output amplification that reproduces T5's stretched embedding
 geometry.
 
+There is one forward: :meth:`Encoder._transform` runs the layer loop and
+the output head, looping over heads in Python with ``...`` indexing, so
+the same code serves one sequence ([L, D]) and a stack ([B, L, D]).
+:meth:`Encoder.encode` calls it on one sequence; :meth:`Encoder.forward_padded`
+(also named :meth:`Encoder.forward_batch`) stacks sequences, padding any
+shorter ones.  Same-length stacks are bit-identical to encoding each
+sequence alone.
+
 Attention folds the mask and the relative-distance bias into one additive
 per-sequence term (:meth:`Encoder._score_term`) and computes the weights
-in :func:`_attend`, the one helper :meth:`Encoder.encode` and both stacked
-forwards call, so all three keep one op sequence.  The term is ``None``
-when it is all zero (a FULL mask without RELATIVE positions, 7 of the 9
-zoo models), so nothing is added; otherwise it is
-``np.where(mask, bias, -1e9)``.  For a visible entry that equals the
-unfolded ``s + bias + 0``; a masked entry becomes ``-1e9`` rather than
-``bias - 1e9``, and both are exactly 0 after the softmax because the
-diagonal is always visible.  The softmax runs in place on the fresh
-``q @ k.T`` product.
+in :func:`_attend`.  The term is ``None`` when it is all zero (a FULL
+mask without RELATIVE positions, 7 of the 9 zoo models), so nothing is
+added; otherwise it is ``np.where(mask, bias, -1e9)``.  For a visible
+entry that equals the unfolded ``s + bias + 0``; a masked entry becomes
+``-1e9`` rather than ``bias - 1e9``, and both are exactly 0 after the
+softmax because the diagonal is always visible.  The softmax runs in
+place on the fresh ``q @ k.T`` product.
 
 The encoder keeps no scratch state between calls: every scratch array is
 allocated inside the call, because one :class:`Encoder` serves the sweep
@@ -44,7 +50,6 @@ from repro.models.backends import resolve_backend
 from repro.models.blas import pin_one_thread
 from repro.models.config import AttentionMask, ModelConfig, OutputNorm, PositionKind
 from repro.models.token_array import (
-    CONTENT_ANISOTROPY,
     INTERNER,
     ROLE_CAPTION,
     ROLE_ORDER,
@@ -59,16 +64,6 @@ _LN_EPS = 1e-6
 # Before any thread of ours exists: every ``import repro…`` imports this
 # module, so every process that encodes runs one BLAS thread.
 pin_one_thread()
-
-# Back-compat alias: the anisotropic content mixing now lives with the
-# interner (repro.models.token_array), which owns the content vectors.
-_CONTENT_ANISOTROPY = CONTENT_ANISOTROPY
-
-
-def _global_direction(dim: int) -> np.ndarray:
-    """The shared anisotropy direction (delegates to the interner)."""
-    return INTERNER.global_direction(dim)
-
 
 def _content_vector(piece: str, dim: int) -> np.ndarray:
     """One piece's content vector (delegates to the interner's matrix).
@@ -98,12 +93,13 @@ def _attend(
 ) -> np.ndarray:
     """Attention weights ``softmax(q @ k^T * scale + term)`` over the last axis.
 
-    ``q``/``k`` are one head ([L, d]) or stacked heads ([B, H, L, d]);
-    ``term`` is the folded mask and bias (:meth:`Encoder._score_term`),
-    ``None`` when it is all zero.  The fresh ``q @ k^T`` product is this
-    call's own scratch array, so scaling, the term, the max shift, exp
-    and the normalization all run in place on it — the same values, op
-    for op, as ``_softmax((q @ k.T) * scale + term)``.
+    ``q``/``k`` are one head of one sequence ([L, d]) or of a stack
+    ([B, L, d]); ``term`` is the folded mask and bias
+    (:meth:`Encoder._score_term`), ``None`` when it is all zero.  The
+    fresh ``q @ k^T`` product is this call's own scratch array, so
+    scaling, the term, the max shift, exp and the normalization all run
+    in place on it — the same values, op for op, as
+    ``_softmax((q @ k.T) * scale + term)``.
     """
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= scale
@@ -244,103 +240,15 @@ class Encoder:
             self, token_lists, batch_size=batch_size
         )
 
-    def _transform_stacked(
-        self, x: np.ndarray, term: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Layer loop + output head shared by both stacked forwards.
+    def _transform(self, x: np.ndarray, term: Optional[np.ndarray]) -> np.ndarray:
+        """Layer loop + output head: the one transform every forward runs.
 
-        ``x`` is [B, L, D]; ``term`` ([B, 1, L, L] or ``None``) is the
-        folded score term broadcast over the heads.  Heads are carried as
-        an explicit tensor axis ([B, H, L, d]) instead of the per-head
-        Python loop of :meth:`encode`; the reshape is pure reindexing,
-        every 2D matmul slice keeps the shapes of the single-sequence path,
-        and the attention weights come from the same :func:`_attend`, so
-        same-length outputs stay bit-identical to it.  Keeping this in ONE
-        place is a numerics requirement: the padded forward's tolerance
-        contract assumes it runs the exact same op sequence as the exact
-        forward.
+        ``x`` is [L, D] or [B, L, D]; ``term`` is the folded score term
+        ([L, L] or [B, L, L]) or ``None``.  Every matmul slice keeps the
+        shapes of the single-sequence forward, so a same-length stack is
+        bit-identical to encoding each sequence alone.
         """
         cfg = self.config
-        batch, length = x.shape[0], x.shape[1]
-        n_heads = cfg.n_heads
-        head_dim = cfg.dim // n_heads
-        scale = cfg.attention_temperature / np.sqrt(head_dim)
-
-        def heads(t: np.ndarray) -> np.ndarray:
-            # [B, L, D] -> [B, H, L, d]
-            return t.reshape(batch, length, n_heads, head_dim).transpose(0, 2, 1, 3)
-
-        for layer in self.weights.layers:
-            h = _layer_norm(x)
-            q = heads(h @ layer.wq)
-            k = heads(h @ layer.wk)
-            v = heads(h @ layer.wv)
-            attn = _attend(q, k, scale, term) @ v  # [B, H, L, d]
-            attn_out = attn.transpose(0, 2, 1, 3).reshape(batch, length, cfg.dim)
-            x = x + cfg.attention_gain * (attn_out @ layer.wo)
-            h = _layer_norm(x)
-            x = x + np.maximum(h @ layer.w1, 0.0) @ layer.w2
-
-        if cfg.output_norm == OutputNorm.LAYER:
-            x = _layer_norm(x)
-        if cfg.output_scale != 1.0:
-            x = x * cfg.output_scale
-        if cfg.anisotropy:
-            coeff = cfg.anisotropy_shift + x @ self.weights.anisotropy_probe
-            x = x + cfg.anisotropy * (
-                coeff[..., None] * self.weights.anisotropy_direction
-            )
-        return x
-
-    def forward_batch(self, token_lists: Sequence[TokenSequence]) -> List[np.ndarray]:
-        """Batched forward pass over same-length sequences ([B, L, D]).
-
-        Outputs are bit-identical to :meth:`encode` per sequence (see
-        :meth:`_transform_stacked`).
-        """
-        x = np.stack([self.embed_tokens(tokens) for tokens in token_lists])
-        terms = [self._score_term(tokens) for tokens in token_lists]
-        term = None if terms[0] is None else np.stack(terms)[:, None]
-        x = self._transform_stacked(x, term)
-        return [x[b] for b in range(len(token_lists))]
-
-    def forward_padded(self, token_lists: Sequence[TokenSequence]) -> List[np.ndarray]:
-        """Batched forward over *mixed-length* sequences, padded + masked.
-
-        Shorter sequences are right-padded with zero vectors to the
-        batch's longest length and the padded positions are additively
-        masked to -1e9 in every attention score involving them as keys —
-        which underflows to exactly 0.0 weight after the softmax, so
-        padding never feeds into a real token's state.  Padded *query*
-        rows accumulate garbage but are sliced away before returning.
-
-        Outputs are within :data:`~repro.models.backends.PADDED_TOLERANCE`
-        of the per-sequence forward, not bit-identical: BLAS kernel choice
-        and numpy's pairwise-summation tree depend on matrix shape.  Each
-        sequence's own folded score term fills the top-left [L, L] corner
-        of its slot; the rest of the slot is masked.
-        """
-        batch = len(token_lists)
-        lengths = [len(tokens) for tokens in token_lists]
-        length = max(lengths)
-        x = np.zeros((batch, length, self.config.dim), dtype=np.float64)
-        term = np.full((batch, 1, length, length), -1e9, dtype=np.float64)
-        for b, tokens in enumerate(token_lists):
-            n = lengths[b]
-            x[b, :n] = self.embed_tokens(tokens)
-            own = self._score_term(tokens)
-            term[b, 0, :n, :n] = 0.0 if own is None else own
-        x = self._transform_stacked(x, term)
-        return [x[b, : lengths[b]] for b in range(batch)]
-
-    def encode(self, tokens: TokenSequence) -> np.ndarray:
-        """Final token embeddings, shape [len(tokens), dim]."""
-        tokens = TokenArray.coerce(tokens)
-        if not len(tokens):
-            return np.zeros((0, self.config.dim), dtype=np.float64)
-        cfg = self.config
-        x = self.embed_tokens(tokens)
-        term = self._score_term(tokens)
         n_heads = cfg.n_heads
         head_dim = cfg.dim // n_heads
         scale = cfg.attention_temperature / np.sqrt(head_dim)
@@ -353,7 +261,7 @@ class Encoder:
             attn_out = np.empty_like(x)
             for head in range(n_heads):
                 sl = slice(head * head_dim, (head + 1) * head_dim)
-                attn_out[:, sl] = _attend(q[:, sl], k[:, sl], scale, term) @ v[:, sl]
+                attn_out[..., sl] = _attend(q[..., sl], k[..., sl], scale, term) @ v[..., sl]
             x = x + cfg.attention_gain * (attn_out @ layer.wo)
             h = _layer_norm(x)
             x = x + np.maximum(h @ layer.w1, 0.0) @ layer.w2
@@ -367,5 +275,53 @@ class Encoder:
             x = x * cfg.output_scale
         if cfg.anisotropy:
             coeff = cfg.anisotropy_shift + x @ self.weights.anisotropy_probe
-            x = x + cfg.anisotropy * np.outer(coeff, self.weights.anisotropy_direction)
+            x = x + cfg.anisotropy * (
+                coeff[..., None] * self.weights.anisotropy_direction
+            )
         return x
+
+    def encode(self, tokens: TokenSequence) -> np.ndarray:
+        """Final token embeddings, shape [len(tokens), dim]."""
+        tokens = TokenArray.coerce(tokens)
+        if not len(tokens):
+            return np.zeros((0, self.config.dim), dtype=np.float64)
+        return self._transform(self.embed_tokens(tokens), self._score_term(tokens))
+
+    def forward_padded(self, token_lists: Sequence[TokenSequence]) -> List[np.ndarray]:
+        """Stacked forward over sequences of any lengths ([B, L, D]).
+
+        Shorter sequences are right-padded with zero vectors to the
+        batch's longest length, and each sequence's own folded score term
+        fills the top-left [L, L] corner of its slot; the rest of the
+        slot is -1e9, which underflows to exactly 0.0 attention weight,
+        so padding never feeds into a real token's state.  Padded *query*
+        rows accumulate garbage but are sliced away before returning.
+
+        When every length is equal, no padding exists and the term is the
+        sequences' own (``None`` when they have none), so outputs are
+        bit-identical to :meth:`encode` per sequence.  With mixed lengths
+        they are within :data:`~repro.models.backends.PADDED_TOLERANCE`
+        of it: BLAS kernel choice and numpy's pairwise-summation tree
+        depend on matrix shape.  :meth:`forward_batch` is this method
+        under its same-length name.
+        """
+        batch = len(token_lists)
+        lengths = [len(tokens) for tokens in token_lists]
+        length = max(lengths)
+        x = np.zeros((batch, length, self.config.dim), dtype=np.float64)
+        terms = []
+        for b, tokens in enumerate(token_lists):
+            x[b, : lengths[b]] = self.embed_tokens(tokens)
+            terms.append(self._score_term(tokens))
+        term = None
+        if min(lengths) < length or any(own is not None for own in terms):
+            term = np.full((batch, length, length), -1e9, dtype=np.float64)
+            for b, own in enumerate(terms):
+                n = lengths[b]
+                term[b, :n, :n] = 0.0 if own is None else own
+        x = self._transform(x, term)
+        return [x[b, : lengths[b]] for b in range(batch)]
+
+    # The same-length name the exact backend calls: one function, so the
+    # exact and padded batches cannot drift apart.
+    forward_batch = forward_padded

@@ -705,9 +705,17 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
     if hasattr(observatory, "apply_deadline"):
         observatory.apply_deadline(deadline)
     results.send(("ready", worker_id))
+    # This process holds both ends of the inbox's pipe, so a SIGKILLed
+    # parent never reads as EOF there: poll, and leave once it is gone.
+    parent = multiprocessing.parent_process()
     first_group = True
     while True:
-        message = inbox.get()
+        try:
+            message = inbox.get(timeout=1.0)
+        except queue_module.Empty:
+            if parent is not None and not parent.is_alive():
+                return
+            continue
         if message[0] == "stop":
             break
         _, group_id, cells, _duplicate = message

@@ -43,7 +43,9 @@ server-side through the shared executor cache.
 segment format) *before* the 202 is sent.  A service killed mid-request
 and restarted over the same ``--state-dir`` re-enqueues every
 accepted-but-unfinished request and *resumes* its per-job sweep journal
-— finished cells replay, only the remainder recomputes.
+— finished cells replay, only the remainder recomputes.  A journal
+written for another plan (another BLAS regime, say) is discarded and
+the job recomputes from scratch, so no result mixes two regimes' bits.
 
 Characterization sweeps are pinned to ``execution="thread"``: a service
 multiplexing many small requests wants the shared in-memory cache fast
@@ -68,6 +70,7 @@ import numpy as np
 from repro.errors import (
     RequestJournalError,
     ServiceOverloadedError,
+    StaleJournalError,
     TableError,
 )
 from repro.models.blas import blas_regime
@@ -452,8 +455,9 @@ class CharacterizationService:
             if self._config.request_deadline is not None
             else None
         )
-        try:
-            sweep = self._observatory.sweep(
+
+        def run(resume: bool):
+            return self._observatory.sweep(
                 job.payload["models"],
                 job.payload.get("properties"),
                 max_workers=self._config.sweep_workers,
@@ -463,6 +467,14 @@ class CharacterizationService:
                 resume=resume,
                 fault_policy=fault_policy,
             )
+
+        try:
+            try:
+                sweep = run(resume)
+            except StaleJournalError:
+                # Written for another plan (another BLAS regime, say): a
+                # fresh journal replaces it and the job recomputes.
+                sweep = run(False)
         except Exception as exc:  # noqa: BLE001 - job-scoped, reported typed
             job.error = str(exc)
             job.error_type = type(exc).__name__

@@ -27,6 +27,7 @@ from repro.models.backends import (
     PADDED_TOLERANCE,
     LocalBackend,
     PaddedBackend,
+    PaddingStats,
     available_backends,
     max_relative_error,
     register_backend,
@@ -154,8 +155,10 @@ class TestExactBitIdentity:
 )
 def test_folded_attention_across_forwards(position_kind, attention_mask, lengths, seed):
     """Every forward over the folded mask + bias term, for every positions x
-    mask pair: ``LocalBackend`` batches and ``forward_batch`` equal the
-    reference forward bit for bit; ``forward_padded`` stays within
+    mask pair: ``LocalBackend`` batches, ``forward_batch`` and
+    ``forward_padded`` over same-length groups, and a ``PaddedBackend``
+    whose tiers hold one length each equal the reference forward bit for
+    bit; ``forward_padded`` over mixed lengths stays within
     :data:`PADDED_TOLERANCE`."""
     encoder = attention_encoder(position_kind, attention_mask)
     tokens = [table_tokens(n, seed + i) for i, n in enumerate(lengths)]
@@ -166,8 +169,16 @@ def test_folded_attention_across_forwards(position_kind, attention_mask, lengths
         assert np.array_equal(got, want)
     for n in set(lengths):
         same = [i for i, length in enumerate(lengths) if length == n]
-        for i, got in zip(same, encoder.forward_batch([arrays[i] for i in same])):
-            assert np.array_equal(got, reference[i])
+        group = [arrays[i] for i in same]
+        for forward in (encoder.forward_batch, encoder.forward_padded):
+            for i, got in zip(same, forward(group)):
+                assert np.array_equal(got, reference[i])
+    # Same-length chunks need no padding, so the padded backend runs them
+    # unpadded: bit-identical, and nothing counted as waste.
+    one_length_tiers = PaddedBackend(tier_width=1)
+    for got, want in zip(one_length_tiers.encode_batch(encoder, arrays), reference):
+        assert np.array_equal(got, want)
+    assert one_length_tiers.stats_snapshot() == PaddingStats()
     for got, want in zip(encoder.forward_padded(arrays), reference):
         assert got.shape == want.shape
         assert max_relative_error(got, want) <= PADDED_TOLERANCE

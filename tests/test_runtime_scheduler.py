@@ -16,7 +16,11 @@ Three layers, cheapest first:
 """
 
 import json
+import os
 import queue
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -542,3 +546,81 @@ class TestWorkersEnv:
                 make_observatory().sweep(
                     ["bert"], ["row_order_insignificance"], execution="thread"
                 )
+
+
+# A parent that starts one worker the way WorkStealingSweep does, waits
+# for it to report ready, then dies by SIGKILL: no cleanup, no "stop".
+ORPHANING_PARENT = r"""
+import multiprocessing
+import os
+import signal
+import sys
+
+from repro import RuntimeConfig
+from repro.core.framework import DatasetSizes
+from repro.runtime.scheduler import _worker_main
+
+context = multiprocessing.get_context("spawn")
+inbox = context.Queue()
+reader, writer = context.Pipe(duplex=False)
+payload = {
+    "seed": 3,
+    "sizes": DatasetSizes(wikitables_tables=1, spider_databases=1, nextiajd_pairs=3,
+                          sotab_tables=1, n_permutations=2, min_rows=4, max_rows=4),
+    "runtime": RuntimeConfig(execution="thread", max_workers=1),
+    "on_error": "abort",
+    "deadline_epoch": None,
+}
+process = context.Process(target=_worker_main, args=(0, payload, inbox, writer), daemon=True)
+process.start()
+writer.close()
+assert reader.recv() == ("ready", 0)
+with open(sys.argv[1], "w", encoding="ascii") as handle:
+    handle.write(str(process.pid))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def process_exited(pid: int) -> bool:
+    """Gone, or a zombie nobody reaps (the orphan's new parent may not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_worker_exits_when_its_parent_is_killed(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    pid_file = tmp_path / "worker.pid"
+    errors = tmp_path / "parent.err"
+    # Files, not pipes: the worker inherits the parent's standard streams,
+    # so a pipe would stay open for as long as the worker lives.
+    with open(errors, "w", encoding="utf-8") as stderr:
+        parent = subprocess.Popen(
+            [sys.executable, "-c", ORPHANING_PARENT, str(pid_file)],
+            cwd=root,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
+        returncode = parent.wait(timeout=300)
+    assert returncode == -signal.SIGKILL, errors.read_text()
+    worker = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 60
+        while not process_exited(worker):
+            assert time.monotonic() < deadline, "worker outlived its killed parent"
+            time.sleep(0.2)
+    finally:
+        try:
+            os.kill(worker, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.index import ColumnIndex
 from repro.models.blas import blas_regime
-from repro.runtime.journal import SweepJournal, iter_records
+from repro.runtime.journal import PLAN_FILE, SweepJournal, iter_records, plan_fingerprint
 from repro.service import (
     CharacterizationService,
     HttpPlane,
@@ -468,12 +468,15 @@ class TestRestartReplay:
             client2.close()
             svc2.close()
 
-    def test_replay_resumes_per_job_sweep_journal(self, tmp_path):
-        """A job with journaled cells resumes: finished cells replay."""
-        state_dir = str(tmp_path / "state")
-        observatory = make_observatory()
+    @staticmethod
+    def finished_job_marked_pending(state_dir):
+        """Run one job to completion, then journal its request as pending.
+
+        That forges the crash window: the kill landed after the cells were
+        journaled but before the done record.
+        """
         svc = CharacterizationService(
-            observatory,
+            make_observatory(),
             config=ServiceConfig(queue_limit=4, runners=1, state_dir=state_dir),
         ).start()
         client = ServiceClient(svc.url)
@@ -484,30 +487,60 @@ class TestRestartReplay:
             client.close()
             svc.close()
         assert count_service_cells(state_dir) == len(result["cells"])
-
-        # Forge the crash window: mark the finished request pending again
-        # (as if the kill landed after the cells were journaled but
-        # before the done record), then restart.
         journal = RequestJournal.open(os.path.join(state_dir, "requests"))
         journal.record_request(job_id, {"models": MODELS, "properties": PROPS})
         journal.close()
+        return job_id, result
 
-        svc2 = CharacterizationService(
+    @staticmethod
+    def replayed_after_restart(state_dir, job_id):
+        svc = CharacterizationService(
             make_observatory(), config=ServiceConfig(runners=2, state_dir=state_dir)
         ).start()
-        client2 = ServiceClient(svc2.url)
+        client = ServiceClient(svc.url)
         try:
-            final = client2.job(job_id, wait=120)
+            final = client.job(job_id, wait=120)
             deadline = time.monotonic() + 300
             while final["status"] not in ("done", "failed"):
                 assert time.monotonic() < deadline
-                final = client2.job(job_id, wait=10)
-            assert final["status"] == "done"
-            # Every cell came back from the journal, none recomputed.
-            assert final["result"]["replayed"] == len(result["cells"])
+                final = client.job(job_id, wait=10)
+            return final
         finally:
-            client2.close()
-            svc2.close()
+            client.close()
+            svc.close()
+
+    def test_replay_resumes_per_job_sweep_journal(self, tmp_path):
+        """A job with journaled cells resumes: finished cells replay."""
+        state_dir = str(tmp_path / "state")
+        job_id, result = self.finished_job_marked_pending(state_dir)
+        final = self.replayed_after_restart(state_dir, job_id)
+        assert final["status"] == "done"
+        # Every cell came back from the journal, none recomputed.
+        assert final["result"]["replayed"] == len(result["cells"])
+
+    def test_replay_recomputes_a_journal_from_another_blas_regime(self, tmp_path):
+        """A job journaled under another BLAS regime recomputes, not fails."""
+        state_dir = str(tmp_path / "state")
+        job_id, result = self.finished_job_marked_pending(state_dir)
+        plan_path = os.path.join(state_dir, "jobs", job_id, PLAN_FILE)
+        with open(plan_path, encoding="utf-8") as handle:
+            header = json.load(handle)
+        assert header["plan"]["blas"] == blas_regime()
+        header["plan"]["blas"] += " (forged)"  # differs on every host
+        header["fingerprint"] = plan_fingerprint(header["plan"])
+        with open(plan_path, "w", encoding="utf-8") as handle:
+            json.dump(header, handle)
+        final = self.replayed_after_restart(state_dir, job_id)
+        assert final["status"] == "done", final
+        assert final["result"]["replayed"] == 0
+
+        def cells(payload):
+            return {
+                (c.model_name, c.property_name): c.result.to_jsonable()
+                for c in cells_from_result(payload)
+            }
+
+        assert cells(final["result"]) == cells(result)
 
 
 # ---------------------------------------------------------------------------
