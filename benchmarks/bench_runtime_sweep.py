@@ -24,13 +24,12 @@ on a single-core host the run degenerates to spawn overhead and the
 report says so.
 
 The **scheduler** section runs the work-stealing scheduler
-(:class:`WorkStealingSweep`, LPT-ordered corpus-affinity groups pulled
-by persistent workers) on a fresh disk tier and asserts its results
-bit-identical to a thread-engine sweep; the record then carries the
-dispatch log, steal/re-dispatch/crash counts, per-worker busy fractions,
-and the measured per-cell seconds as ``scheduler.cell_records`` — the
-telemetry priors a later sweep reloads via ``--cost-priors`` /
-``$REPRO_SWEEP_COST_PRIORS`` for LPT dispatch.
+(:class:`WorkStealingSweep`, corpus-affinity groups pulled in the
+cache-aware order by persistent workers) on a fresh disk tier and
+asserts its results bit-identical to a thread-engine sweep; the record
+then carries the dispatch log, steal/re-dispatch/crash counts,
+per-worker busy fractions, and the measured per-cell seconds as
+``scheduler.cell_records``.
 
 Reported speedups: cold (architecture only), warm (cache), and the
 two-pass analysis workflow (characterize once, re-characterize once) —
@@ -757,8 +756,7 @@ def run_scheduler_comparison(sizes: DatasetSizes) -> Dict[str, object]:
     fresh disk tier; its results must be bit-identical to a thread-engine
     sweep of the same matrix before anything is recorded.  The record
     keeps the full dispatch log, steal/crash counters, per-worker
-    utilization, and the measured per-cell seconds (``cell_records``)
-    that feed a later sweep's LPT cost priors.
+    utilization, and the measured per-cell seconds (``cell_records``).
     """
     from repro.runtime.scheduler import WorkStealingSweep
     from repro.runtime.sweep import order_cells

@@ -16,9 +16,8 @@ Exposes the framework without writing Python::
 skipped cells, cache effectiveness, the encoder backend, and the slowest
 cells; ``--execution process`` runs the work-stealing scheduler across
 spawned worker processes (sharing the ``--disk-cache`` tier, bounded by
-``--cache-max-bytes``/``--cache-max-age``; ``--cost-priors BENCH.json``
-reloads measured cell timings for longest-first dispatch and the report
-gains per-worker busy/steal utilization lines), ``--no-exact`` (or
+``--cache-max-bytes``/``--cache-max-age``; the report gains per-worker
+busy/steal utilization lines), ``--no-exact`` (or
 ``--backend padded``) opts into padded tolerance-tier batching for
 throughput on heterogeneous-length corpora, ``--backend remote
 --remote-url http://host:port`` farms encoder forward passes to an HTTP
@@ -72,7 +71,7 @@ from repro.core.framework import DatasetSizes, Observatory
 from repro.core.registry import available_properties
 from repro.errors import ObservatoryError
 from repro.models.registry import available_models
-from repro.runtime import RuntimeConfig, TransportConfig
+from repro.runtime import FaultPolicy, RuntimeConfig, TransportConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,16 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "runs the work-stealing scheduler across spawned workers "
             "sharing only the disk cache "
             "(default: $REPRO_SWEEP_EXECUTION or thread)"
-        ),
-    )
-    sweep.add_argument(
-        "--cost-priors",
-        default=None,
-        metavar="PATH",
-        help=(
-            "BENCH_*.json with measured cell_records; feeds the process "
-            "scheduler's longest-first dispatch order "
-            "(default: $REPRO_SWEEP_COST_PRIORS or built-in priors)"
         ),
     )
     sweep.add_argument(
@@ -570,22 +559,17 @@ def _run_sweep(args: argparse.Namespace) -> int:
             cache_max_age=args.cache_max_age,
             max_workers=args.workers,
             execution=args.execution,
-            cost_priors=args.cost_priors,
             exact=exact,
             backend=args.backend,
             padding_tier=args.padding_tier,
             async_encode=not args.no_async,
             transport=transport,
         )
+        fault_policy = FaultPolicy(deadline=args.deadline)
     except ValueError as error:
         raise ObservatoryError(str(error)) from None
     if args.resume and not args.journal:
         raise ObservatoryError("--resume requires --journal DIR")
-    fault_policy = None
-    if args.deadline is not None:
-        from repro.runtime.faults import FaultPolicy
-
-        fault_policy = FaultPolicy(deadline=args.deadline)
     observatory = _make_observatory(args, runtime=runtime)
 
     # SIGINT/SIGTERM: unwind through run_sweep's ``finally`` so the

@@ -408,8 +408,9 @@ class Observatory:
         (:class:`~repro.runtime.journal.SweepJournal`); with
         ``resume=True`` a journal from an interrupted run replays its
         completed cells and only the remainder is dispatched.
-        ``fault_policy`` overrides ``runtime.fault_policy`` for this
-        sweep (deadline, retry budgets, lock patience).
+        ``fault_policy`` (a :class:`~repro.runtime.faults.FaultPolicy`)
+        bounds the sweep's wall clock and sets the process engine's
+        crash-salvage retries; ``None`` means no deadline and two retries.
         """
         property_names = (
             list(properties) if properties is not None else available_properties()

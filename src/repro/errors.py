@@ -96,7 +96,7 @@ class DeadlineExceededError(SweepError):
 
 
 class ServiceError(ObservatoryError):
-    """The characterization service failed to bind, serve, or shut down."""
+    """The characterization service was misconfigured or failed to bind, serve, or shut down."""
 
 
 class ServiceOverloadedError(ServiceError):

@@ -24,18 +24,18 @@ and perturbations.  This package removes that redundancy:
   returning a structured :class:`SweepResult` (including skipped cells).
 - :mod:`repro.runtime.scheduler` — :class:`WorkStealingSweep`, the
   ``execution="process"`` engine: persistent spawned workers pull
-  LPT-ordered corpus-affinity :class:`WorkGroup`\\ s from a dynamic
-  queue, with straggler re-dispatch and crash salvage
+  corpus-affinity :class:`WorkGroup`\\ s, in the cache-aware order,
+  from a dynamic queue, with straggler re-dispatch and crash salvage
   (:class:`SchedulerTelemetry` reports busy/idle/steal per worker).
 - :mod:`repro.runtime.journal` — :class:`SweepJournal`, the write-ahead
   per-cell progress log behind ``sweep(journal_dir=..., resume=True)``:
   digest-verified JSONL segments under a plan-fingerprint header, so a
   killed sweep replays finished cells and dispatches only the remainder.
 - :mod:`repro.runtime.faults` — :class:`FaultPolicy`/:class:`Deadline`,
-  the single failure-budget config (wall-clock deadline, per-layer retry
-  budgets, backoff envelope, lock patience) threaded from
-  :class:`RuntimeConfig` through scheduler salvage, remote transport
-  retries, and disk-lock waits.
+  a sweep's failure budget (wall-clock deadline and crash-salvage
+  retries), passed to ``Observatory.sweep(fault_policy=...)``; the live
+  deadline bounds scheduler dispatch, remote transport retries, and
+  disk-lock waits.
 """
 
 from repro.runtime.cache import CacheStats, EmbeddingCache
@@ -63,15 +63,12 @@ from repro.runtime.planner import (
     as_executor,
 )
 from repro.runtime.scheduler import (
-    CostModel,
     GroupScheduler,
     SchedulerTelemetry,
     WorkGroup,
     WorkStealingSweep,
     WorkerTelemetry,
     build_groups,
-    load_cost_model,
-    lpt_order,
 )
 from repro.runtime.sweep import (
     EXECUTION_MODES,
@@ -91,7 +88,6 @@ __all__ = [
     "BUNDLE_LEVELS",
     "CacheStats",
     "CellFailure",
-    "CostModel",
     "Deadline",
     "DiskTier",
     "EXECUTION_MODES",
@@ -119,8 +115,6 @@ __all__ = [
     "build_groups",
     "cache_entry_digest",
     "coords_fingerprint",
-    "load_cost_model",
-    "lpt_order",
     "order_cells",
     "plan_fingerprint",
     "resolve_execution",

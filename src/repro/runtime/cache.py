@@ -82,8 +82,6 @@ class EmbeddingCache:
         disk_max_age: seconds after which disk entries expire
             (``None`` = never).
         clock: time source for the disk tier's eviction policy.
-        lock_timeout / stale_lock_age: disk-tier ``index.lock`` patience,
-            threaded from :class:`~repro.runtime.faults.FaultPolicy`.
     """
 
     def __init__(
@@ -94,8 +92,6 @@ class EmbeddingCache:
         disk_max_bytes: Optional[int] = None,
         disk_max_age: Optional[float] = None,
         clock: Callable[[], float] = time.time,
-        lock_timeout: float = 5.0,
-        stale_lock_age: float = 10.0,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
@@ -111,8 +107,6 @@ class EmbeddingCache:
                 max_bytes=disk_max_bytes,
                 max_age=disk_max_age,
                 clock=clock,
-                lock_timeout=lock_timeout,
-                stale_lock_age=stale_lock_age,
             )
 
     def set_deadline(self, deadline) -> None:

@@ -1,24 +1,22 @@
-"""Unified fault policy: one deadline and one set of retry/backoff knobs.
+"""Fault policy: one sweep deadline and the scheduler's crash budget.
 
-Before this module, fault handling was fragmented across three private
-knob sets: the work-stealing scheduler's crash-salvage ``max_retries``,
-the remote transport's ``retries``/backoff envelope, and the disk tiers'
-``lock_timeout``/``stale_lock_age`` patience.  None of them shared a
-budget, so a sweep configured to "give up after a minute" could not
-actually give up — each layer would happily keep retrying inside its own
-silo.
+:class:`FaultPolicy` carries the two failure settings a sweep takes
+(``Observatory.sweep(fault_policy=...)``, ``repro sweep --deadline``,
+the service's ``request_deadline``).  The other layers keep their own
+patience: the remote transport's retry budget is
+``TransportConfig.retries`` and its backoff envelope is
+:class:`~repro.models.backends.remote.RemoteBackend`'s own, and the disk
+tiers' lock patience is :class:`~repro.runtime.disk.DiskTier`'s.
 
-:class:`FaultPolicy` is the single typed source of those knobs, threaded
-from :class:`~repro.runtime.planner.RuntimeConfig` through
-``Observatory.sweep`` into every layer; :class:`Deadline` is the
-live countdown a sweep starts from ``FaultPolicy.deadline`` and hands
-down so the *same* wall clock bounds scheduler dispatch, transport
-attempts and backoff sleeps, and disk-lock waits.  Layers treat an
-expired deadline according to their contract: the sweep loop and the
-transport raise :class:`~repro.errors.DeadlineExceededError` (degradable
-to a :class:`~repro.runtime.sweep.CellFailure` under
-``on_error="degrade"``), while the best-effort disk tier merely stops
-waiting on locks — a cache must degrade to a miss, never to an error.
+:class:`Deadline` is the live countdown a sweep starts from
+``FaultPolicy.deadline`` and hands down through ``set_deadline``, so the
+*same* wall clock bounds scheduler dispatch, transport attempts and
+backoff sleeps, and disk-lock waits.  Layers treat an expired deadline
+according to their contract: the sweep loop and the transport raise
+:class:`~repro.errors.DeadlineExceededError` (degradable to a
+:class:`~repro.runtime.sweep.CellFailure` under ``on_error="degrade"``),
+while the best-effort disk tier merely stops waiting on locks — a cache
+must degrade to a miss, never to an error.
 
 Deadlines cross process boundaries as absolute ``time.time`` epochs
 (monotonic clocks are per-process): ``Deadline.epoch()`` ships on a
@@ -30,22 +28,14 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.errors import DeadlineExceededError
-
-# Defaults mirror the per-layer values they replace, so an unconfigured
-# FaultPolicy() changes nothing about existing behavior.
-DEFAULT_SCHEDULER_RETRIES = 2
-DEFAULT_LOCK_TIMEOUT = 5.0
-DEFAULT_STALE_LOCK_AGE = 10.0
-DEFAULT_BACKOFF_BASE = 0.05
-DEFAULT_BACKOFF_CAP = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
 class FaultPolicy:
-    """How a sweep spends its failure budget, in one typed object.
+    """How a sweep spends its failure budget.
 
     Attributes:
         deadline: wall-clock seconds the whole sweep may take; ``None``
@@ -53,82 +43,22 @@ class FaultPolicy:
             and propagates into scheduler dispatch, transport attempts,
             and disk-lock waits — one clock, not three.
         scheduler_retries: extra attempts a crashed work group gets
-            before it is declared poisoned (the scheduler's crash-salvage
-            budget).
-        transport_retries: overrides
-            :attr:`~repro.models.backends.transport.TransportConfig.retries`
-            when set — the remote backend's transient-fault budget.
-            ``None`` keeps the transport's own value.
-        lock_timeout: seconds to wait for a disk-tier ``index.lock``
-            before assuming its holder crashed and reclaiming it
-            (:class:`~repro.runtime.disk.DiskTier` and
-            :class:`~repro.index.store.ShardStore`).
-        stale_lock_age: a lock file older than this is reclaimed
-            immediately.
-        backoff_base / backoff_cap: exponential-backoff envelope for
-            retried transport requests (first delay / ceiling).
+            before it is declared poisoned (the process engine's
+            crash-salvage budget).
     """
 
     deadline: Optional[float] = None
-    scheduler_retries: int = DEFAULT_SCHEDULER_RETRIES
-    transport_retries: Optional[int] = None
-    lock_timeout: float = DEFAULT_LOCK_TIMEOUT
-    stale_lock_age: float = DEFAULT_STALE_LOCK_AGE
-    backoff_base: float = DEFAULT_BACKOFF_BASE
-    backoff_cap: float = DEFAULT_BACKOFF_CAP
+    scheduler_retries: int = 2
 
     def __post_init__(self):
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive seconds or None")
         if self.scheduler_retries < 0:
             raise ValueError("scheduler_retries must be >= 0")
-        if self.transport_retries is not None and self.transport_retries < 0:
-            raise ValueError("transport_retries must be >= 0 or None")
-        if self.lock_timeout <= 0:
-            raise ValueError("lock_timeout must be positive")
-        if self.stale_lock_age <= 0:
-            raise ValueError("stale_lock_age must be positive")
-        if self.backoff_base <= 0:
-            raise ValueError("backoff_base must be positive")
-        if self.backoff_cap < self.backoff_base:
-            raise ValueError("backoff_cap must be >= backoff_base")
 
     def start_deadline(self) -> "Deadline":
         """A live countdown for one sweep (unbounded when no deadline)."""
         return Deadline.start(self.deadline)
-
-    def to_jsonable(self) -> Dict[str, object]:
-        return {
-            "deadline": self.deadline,
-            "scheduler_retries": self.scheduler_retries,
-            "transport_retries": self.transport_retries,
-            "lock_timeout": self.lock_timeout,
-            "stale_lock_age": self.stale_lock_age,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, object]) -> "FaultPolicy":
-        if not isinstance(payload, dict):
-            raise ValueError(f"FaultPolicy payload must be a dict, got {payload!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(
-                f"unknown FaultPolicy keys {sorted(unknown)}; known: {sorted(known)}"
-            )
-        return cls(**payload)
-
-    def describe(self) -> str:
-        deadline = "unbounded" if self.deadline is None else f"{self.deadline:g}s"
-        return (
-            f"deadline {deadline}, scheduler retries {self.scheduler_retries}, "
-            f"transport retries "
-            f"{'transport default' if self.transport_retries is None else self.transport_retries}, "
-            f"lock timeout {self.lock_timeout:g}s, "
-            f"backoff {self.backoff_base:g}s..{self.backoff_cap:g}s"
-        )
 
 
 class Deadline:
@@ -198,7 +128,3 @@ class Deadline:
             return "Deadline(unbounded)"
         return f"Deadline(remaining={remaining:.3f}s)"
 
-
-#: A shared never-expiring deadline for call sites that want to treat
-#: "no deadline configured" uniformly.
-UNBOUNDED = Deadline(None)

@@ -49,7 +49,6 @@ from repro.models.backends import (
 )
 from repro.relational.table import Table
 from repro.runtime.cache import CacheStats, EmbeddingCache
-from repro.runtime.faults import FaultPolicy
 from repro.runtime.fingerprint import (
     coords_fingerprint,
     table_fingerprint,
@@ -87,13 +86,6 @@ class RuntimeConfig:
             from the work-stealing scheduler, sharing only the disk
             tier).  ``None`` defers to the ``REPRO_SWEEP_EXECUTION``
             environment variable, falling back to ``"thread"``.
-        cost_priors: optional path to a ``BENCH_*.json`` record (written
-            by ``benchmarks/bench_runtime_sweep.py --json``) whose
-            measured per-cell seconds seed the work-stealing scheduler's
-            longest-processing-time-first dispatch order.  ``None``
-            defers to ``$REPRO_SWEEP_COST_PRIORS``, falling back to the
-            built-in property priors.  Priors only reorder dispatch —
-            results are bit-identical for any priors.
         exact: numerics mode.  ``True`` (default) keeps every embedding
             bit-identical to single-sequence encoding (same-length
             batching only).  ``False`` opts into the padded backend:
@@ -119,19 +111,10 @@ class RuntimeConfig:
             next chunk overlaps the current chunk's forward passes.
             Results are unchanged (the local backend stays bit-identical);
             this is purely a scheduling knob.
-        on_error: default failure mode for ``Observatory.sweep`` —
-            ``"abort"`` (raise the typed error) or ``"degrade"`` (record
-            a :class:`~repro.runtime.sweep.CellFailure` on
-            ``SweepResult.failures`` and keep sweeping).  ``None`` means
-            abort.
-        fault_policy: the sweep's unified
-            :class:`~repro.runtime.faults.FaultPolicy` — wall-clock
-            deadline, scheduler crash-salvage retries, transport retry
-            override, disk-lock patience, and backoff envelope in one
-            typed object, threaded through every layer.  A plain dict in
-            :meth:`FaultPolicy.to_jsonable` form is accepted and coerced.
-            ``None`` means the per-layer defaults (identical behavior to
-            before this knob existed).
+
+    A sweep's failure mode and fault budget are arguments of
+    ``Observatory.sweep`` (``on_error=``, ``fault_policy=``), not runtime
+    fields.
     """
 
     enabled: bool = True
@@ -142,28 +125,13 @@ class RuntimeConfig:
     cache_max_age: Optional[float] = None
     max_workers: Optional[int] = None
     execution: Optional[str] = None
-    cost_priors: Optional[str] = None
     exact: bool = True
     backend: Optional[str] = None
     padding_tier: int = DEFAULT_TIER_WIDTH
     async_encode: bool = True
     transport: Optional[TransportConfig] = None
-    on_error: Optional[str] = None
-    fault_policy: Optional[FaultPolicy] = None
 
     def __post_init__(self):
-        if self.on_error not in (None, "abort", "degrade"):
-            raise ValueError(
-                f"on_error must be 'abort' or 'degrade', got {self.on_error!r}"
-            )
-        if self.fault_policy is not None and not isinstance(
-            self.fault_policy, FaultPolicy
-        ):
-            # Accept the canonical JSON form (process-shard payloads,
-            # config files) and coerce — from_jsonable re-validates.
-            object.__setattr__(
-                self, "fault_policy", FaultPolicy.from_jsonable(self.fault_policy)
-            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.cache_entries < 1:
@@ -178,11 +146,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"execution must be 'thread' or 'process', got {self.execution!r}"
             )
-        if self.cost_priors is not None and not isinstance(self.cost_priors, str):
-            # Existence/shape are checked when the scheduler loads the
-            # record, not here: a sweep may legitimately be configured
-            # before its bench artifact lands on disk.
-            raise ValueError("cost_priors must be a path string or None")
         if self.padding_tier < 1:
             raise ValueError("padding_tier must be positive")
         if self.transport is not None and not isinstance(self.transport, TransportConfig):
@@ -229,30 +192,11 @@ class RuntimeConfig:
             from repro.models.backends.remote import RemoteBackend
 
             # transport=None falls through to RemoteBackend's own
-            # $REPRO_REMOTE_URL fallback.  The FaultPolicy's transport
-            # knobs override the TransportConfig retry budget and set the
-            # backoff envelope — one failure budget, not two.
-            policy = self.fault_policy
-            config = self.transport
-            kwargs = {}
-            if policy is not None:
-                kwargs = {
-                    "backoff_base": policy.backoff_base,
-                    "backoff_cap": policy.backoff_cap,
-                }
-                if policy.transport_retries is not None:
-                    if config is not None:
-                        if config.retries != policy.transport_retries:
-                            config = dataclasses.replace(
-                                config, retries=policy.transport_retries
-                            )
-                    else:
-                        kwargs["retries"] = policy.transport_retries
+            # $REPRO_REMOTE_URL fallback.
             return RemoteBackend(
-                config=config,
+                config=self.transport,
                 exact=self.exact,
                 padding_tier=self.padding_tier,
-                **kwargs,
             )
         from repro.models.backends import resolve_backend
 
@@ -261,14 +205,11 @@ class RuntimeConfig:
     def build_cache(self) -> Optional[EmbeddingCache]:
         if not self.enabled:
             return None
-        policy = self.fault_policy or FaultPolicy()
         return EmbeddingCache(
             max_entries=self.cache_entries,
             disk_dir=self.disk_cache_dir,
             disk_max_bytes=self.cache_max_bytes,
             disk_max_age=self.cache_max_age,
-            lock_timeout=policy.lock_timeout,
-            stale_lock_age=policy.stale_lock_age,
         )
 
 

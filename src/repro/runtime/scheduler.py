@@ -10,11 +10,8 @@ latency variance on top.  This module dispatches dynamically instead:
   order (:func:`repro.runtime.sweep.order_cells`) sharing a (model,
   corpus) pair form one :class:`WorkGroup`.  Groups, not cells, are the
   unit of dispatch and of stealing, so a stolen unit still lands with
-  its warm-memory-tier locality intact.
-- **LPT dispatch from cost priors** — a :class:`CostModel` (built-in
-  property priors, or telemetry-measured per-cell phase seconds reloaded
-  from a ``BENCH_*.json`` record) orders groups
-  longest-processing-time-first, the classic makespan heuristic.
+  its warm-memory-tier locality intact.  Groups are handed out in that
+  same order, the one the thread engine runs and the journal plans.
 - **Persistent pulling workers** — spawned once, workers pull groups
   from the parent dispatcher until the queue drains, so a worker that
   lands short groups simply pulls more instead of idling behind a fixed
@@ -59,7 +56,6 @@ explore steal/crash interleavings cheaply.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -80,10 +76,8 @@ from repro.telemetry import Counters
 
 _DEFAULT_PROCESS_CAP = 4
 
-# Telemetry-prior source for LPT ordering: path to a BENCH_*.json record
-# written by benchmarks/bench_runtime_sweep.py --json (its cell_records
-# carry measured per-cell seconds).  RuntimeConfig.cost_priors beats it.
-COST_PRIORS_ENV = "REPRO_SWEEP_COST_PRIORS"
+# Straggler copies of one group allowed in flight at once.
+_MAX_DUPLICATES = 1
 
 # Fault-injection hooks for the crash/straggler regression tests.  Read
 # once per spawned worker; unset (the default) they are inert.
@@ -95,22 +89,6 @@ COST_PRIORS_ENV = "REPRO_SWEEP_COST_PRIORS"
 #       sleeps before its first group (the straggler scenario).
 CRASH_ENV = "REPRO_SCHEDULER_TEST_CRASH"
 STALL_ENV = "REPRO_SCHEDULER_TEST_STALL"
-
-# Relative cell costs when no telemetry record is available, normalized
-# to a P1/P2 shuffle cell.  heterogeneous_context is the known ~3x hot
-# class (paper Table 5 workload: per-cell context variants over sotab);
-# perturbation runs the widest variant fan-out of the wikitables group.
-DEFAULT_PROPERTY_COST = {
-    "heterogeneous_context": 3.0,
-    "perturbation_robustness": 1.6,
-    "functional_dependencies": 1.3,
-    "join_relationship": 1.2,
-    "sample_fidelity": 1.1,
-    "row_order_insignificance": 1.0,
-    "column_order_insignificance": 1.0,
-    "entity_stability": 1.0,
-}
-_FALLBACK_CELL_COST = 1.0
 
 
 @dataclasses.dataclass
@@ -175,97 +153,6 @@ def build_groups(cells: Sequence[Tuple[str, str]]) -> List[WorkGroup]:
             WorkGroup(len(groups), current_key[0], current_key[1], tuple(current))
         )
     return groups
-
-
-# ----------------------------------------------------------------------
-# Cost model (LPT dispatch order)
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class CostModel:
-    """Per-cell cost priors feeding longest-processing-time-first dispatch.
-
-    Estimates resolve most-specific-first: an exact ``(model, property)``
-    prior (telemetry-measured seconds), then the property's mean over
-    models, then the static :data:`DEFAULT_PROPERTY_COST` relative
-    weight.  Units don't matter — only the induced order does.
-    """
-
-    cell_priors: Dict[Tuple[str, str], float] = dataclasses.field(default_factory=dict)
-    property_priors: Dict[str, float] = dataclasses.field(default_factory=dict)
-    source: str = "default"
-
-    def estimate_cell(self, model_name: str, property_name: str) -> float:
-        exact = self.cell_priors.get((model_name, property_name))
-        if exact is not None:
-            return exact
-        by_property = self.property_priors.get(property_name)
-        if by_property is not None:
-            return by_property
-        return DEFAULT_PROPERTY_COST.get(property_name, _FALLBACK_CELL_COST)
-
-    def estimate_group(self, group: WorkGroup) -> float:
-        return sum(self.estimate_cell(m, p) for m, p in group.cells)
-
-    @classmethod
-    def default(cls) -> "CostModel":
-        return cls(source="default")
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[Dict[str, object]], *, source: str = "records"
-    ) -> "CostModel":
-        """Priors from per-cell observability records (model/property/seconds)."""
-        cell_priors: Dict[Tuple[str, str], float] = {}
-        sums: Dict[str, List[float]] = {}
-        for record in records:
-            model = record.get("model")
-            prop = record.get("property")
-            seconds = record.get("seconds")
-            if not model or not prop or not isinstance(seconds, (int, float)):
-                continue
-            cell_priors[(str(model), str(prop))] = float(seconds)
-            sums.setdefault(str(prop), []).append(float(seconds))
-        property_priors = {p: sum(v) / len(v) for p, v in sums.items()}
-        return cls(cell_priors, property_priors, source=source)
-
-    @classmethod
-    def from_bench_json(cls, path: str) -> "CostModel":
-        """Reload priors a benchmark run persisted (``--json BENCH_*.json``).
-
-        Accepts the thread-mode record (top-level ``cell_records``) and
-        the process/scheduler record (``scheduler.cell_records``).
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError) as error:
-            raise ObservatoryError(
-                f"cannot load sweep cost priors from {path!r}: {error}"
-            ) from None
-        records = payload.get("cell_records")
-        if records is None:
-            records = (payload.get("scheduler") or {}).get("cell_records")
-        if not isinstance(records, list) or not records:
-            raise ObservatoryError(
-                f"no cell_records in cost-prior file {path!r}; expected a "
-                "BENCH_*.json written by benchmarks/bench_runtime_sweep.py --json"
-            )
-        return cls.from_records(records, source=path)
-
-
-def load_cost_model(path: Optional[str] = None) -> CostModel:
-    """Resolve the dispatch cost model: explicit path > env > defaults."""
-    path = path or os.environ.get(COST_PRIORS_ENV) or None
-    if path:
-        return CostModel.from_bench_json(path)
-    return CostModel.default()
-
-
-def lpt_order(groups: Sequence[WorkGroup], cost_model: CostModel) -> List[WorkGroup]:
-    """Longest-processing-time-first dispatch order (stable on ties)."""
-    return sorted(groups, key=lambda g: (-cost_model.estimate_group(g), g.group_id))
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +256,6 @@ class GroupScheduler:
         groups: Sequence[WorkGroup],
         *,
         max_retries: int = 2,
-        max_duplicates: int = 1,
         poll_interval: float = 0.05,
         join_timeout: float = 1.0,
         steal_min_age: float = 0.5,
@@ -380,13 +266,10 @@ class GroupScheduler:
     ):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if max_duplicates < 0:
-            raise ValueError("max_duplicates must be >= 0")
         if on_error not in ("abort", "degrade"):
             raise ValueError(f"on_error must be 'abort' or 'degrade', got {on_error!r}")
         self.groups = list(groups)
         self.max_retries = max_retries
-        self.max_duplicates = max_duplicates
         self.poll_interval = poll_interval
         self.join_timeout = join_timeout
         self.on_error = on_error
@@ -627,7 +510,7 @@ class GroupScheduler:
             for wid, (group, dispatched_at, _, _) in in_flight.items()
             if wid != thief_id
             and group.group_id not in payloads
-            and outstanding_dups[group.group_id] < self.max_duplicates
+            and outstanding_dups[group.group_id] < _MAX_DUPLICATES
             and now - dispatched_at >= threshold
         ]
         if not candidates:
@@ -843,9 +726,9 @@ class _ProcessWorkerHandle:
 class WorkStealingSweep:
     """Run sweep cells through the work-stealing scheduler on spawned workers.
 
-    LPT-ordered corpus-affinity groups are pulled by persistent workers,
-    with straggler re-dispatch and crash salvage; results are
-    bit-identical to the thread engine's.
+    Corpus-affinity groups are pulled, in the cache-aware order, by
+    persistent workers, with straggler re-dispatch and crash salvage;
+    results are bit-identical to the thread engine's.
 
     Args:
         observatory: the parent Observatory; only ``seed``/``sizes``/
@@ -853,12 +736,8 @@ class WorkStealingSweep:
         max_workers: worker-process count; defaults to
             ``min(4, cpu_count, n_groups)`` and is always capped at the
             group count (an extra worker could never receive work).
-        cost_model: LPT dispatch priors; defaults to
-            :func:`load_cost_model` (``RuntimeConfig.cost_priors``, then
-            ``$REPRO_SWEEP_COST_PRIORS``, then built-in property priors).
         max_retries: extra attempts a crashed group gets before the sweep
             fails naming its cells.
-        max_duplicates: straggler copies allowed in flight per group.
         steal_min_age / steal_age_factor: straggler threshold — see
             :class:`GroupScheduler`.
         on_error: ``"abort"`` raises typed errors; ``"degrade"`` turns
@@ -876,9 +755,7 @@ class WorkStealingSweep:
         observatory,
         *,
         max_workers: Optional[int] = None,
-        cost_model: Optional[CostModel] = None,
         max_retries: int = 2,
-        max_duplicates: int = 1,
         steal_min_age: float = 0.5,
         steal_age_factor: float = 1.5,
         on_error: str = "abort",
@@ -887,9 +764,7 @@ class WorkStealingSweep:
     ):
         self.observatory = observatory
         self.max_workers = max_workers
-        self.cost_model = cost_model
         self.max_retries = max_retries
-        self.max_duplicates = max_duplicates
         self.steal_min_age = steal_min_age
         self.steal_age_factor = steal_age_factor
         self.on_error = on_error
@@ -905,10 +780,6 @@ class WorkStealingSweep:
     def run(self, cells: Sequence[Tuple[str, str]]) -> ShardOutcome:
         """Execute ``cells`` (already cache-aware-ordered); see class doc."""
         groups = build_groups(cells)
-        cost_model = self.cost_model or load_cost_model(
-            getattr(self.observatory.runtime, "cost_priors", None)
-        )
-        ordered = lpt_order(groups, cost_model)
         workers = self.max_workers or min(
             _DEFAULT_PROCESS_CAP, os.cpu_count() or 1, max(1, len(groups))
         )
@@ -950,9 +821,8 @@ class WorkStealingSweep:
                     list(payload["cells"])
                 )
             scheduler = GroupScheduler(
-                ordered,
+                groups,
                 max_retries=self.max_retries,
-                max_duplicates=self.max_duplicates,
                 steal_min_age=self.steal_min_age,
                 steal_age_factor=self.steal_age_factor,
                 on_error=self.on_error,

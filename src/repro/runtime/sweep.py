@@ -10,11 +10,11 @@ Two execution engines are available:
   for it.
 - ``"process"`` — cells run on the work-stealing scheduler
   (:mod:`repro.runtime.scheduler`): persistent spawned workers pull
-  corpus-affinity work groups from a dynamic LPT-ordered queue, with
-  straggler re-dispatch and crash salvage.  This scales the Python-heavy
-  half of the matrix (serializers, aggregates, planners) past the GIL.
-  Workers rebuild models from the registry and share only the on-disk
-  cache tier.
+  corpus-affinity work groups, in the cache-aware order, from a dynamic
+  queue, with straggler re-dispatch and crash salvage.  This scales the
+  Python-heavy half of the matrix (serializers, aggregates, planners)
+  past the GIL.  Workers rebuild models from the registry and share only
+  the on-disk cache tier.
 
 Both engines run each cell through :func:`run_cell`, and the thread
 engine is the reference the process engine is tested against.
@@ -109,9 +109,9 @@ def resolve_execution(
     return choice
 
 
-def resolve_on_error(explicit: Optional[str], configured: Optional[str] = None) -> str:
-    """Pick the failure mode: explicit arg > RuntimeConfig > abort."""
-    choice = explicit or configured or "abort"
+def resolve_on_error(explicit: Optional[str]) -> str:
+    """Pick the failure mode: explicit arg, else abort."""
+    choice = explicit or "abort"
     if choice not in ON_ERROR_MODES:
         raise ObservatoryError(
             f"unknown on_error mode {choice!r}; expected one of {ON_ERROR_MODES}"
@@ -518,12 +518,8 @@ def run_sweep(
         raise ObservatoryError("sweep needs at least one property")
     engine = resolve_execution(execution, getattr(observatory.runtime, "execution", None))
     max_workers = resolve_workers(max_workers)
-    on_error = resolve_on_error(on_error, getattr(observatory.runtime, "on_error", None))
-    policy = (
-        fault_policy
-        or getattr(observatory.runtime, "fault_policy", None)
-        or FaultPolicy()
-    )
+    on_error = resolve_on_error(on_error)
+    policy = fault_policy or FaultPolicy()
     deadline = policy.start_deadline()
     _apply_deadline(observatory, deadline)
     backend_desc = observatory.backend_description()

@@ -69,6 +69,7 @@ import numpy as np
 
 from repro.errors import (
     RequestJournalError,
+    ServiceError,
     ServiceOverloadedError,
     StaleJournalError,
     TableError,
@@ -80,6 +81,9 @@ from repro.runtime.journal import PLAN_FILE, iter_records
 from repro.service.encode import EncoderPool
 from repro.service.http import HttpPlane, WireRequest, WireResponse
 from repro.service.journal import RequestJournal
+
+# Seconds between journal polls while streaming a live job.
+STREAM_POLL = 0.05
 
 
 @dataclasses.dataclass
@@ -101,9 +105,8 @@ class ServiceConfig:
             construction — pass a real directory to survive kills).
         request_deadline: per-job wall-clock bound in seconds, enforced
             through the sweep's :class:`FaultPolicy`; ``None`` = unbounded.
+            A non-positive value is rejected when the service is built.
         retry_after: seconds advertised on 429 responses.
-        stream_poll: seconds between journal polls while streaming a
-            live job.
     """
 
     host: str = "127.0.0.1"
@@ -115,7 +118,6 @@ class ServiceConfig:
     state_dir: Optional[str] = None
     request_deadline: Optional[float] = None
     retry_after: float = 0.5
-    stream_poll: float = 0.05
 
 
 @dataclasses.dataclass
@@ -152,6 +154,10 @@ class CharacterizationService:
     def __init__(self, observatory, *, config: Optional[ServiceConfig] = None):
         self._observatory = observatory
         self._config = config or ServiceConfig()
+        try:
+            self._fault_policy = FaultPolicy(deadline=self._config.request_deadline)
+        except ValueError as error:
+            raise ServiceError(f"request_deadline: {error}") from None
         self._state_dir = self._config.state_dir or tempfile.mkdtemp(
             prefix="repro-service-"
         )
@@ -409,7 +415,7 @@ class CharacterizationService:
                 }
             if finished:
                 break
-            time.sleep(self._config.stream_poll)
+            time.sleep(STREAM_POLL)
         summary: Dict[str, object] = {
             "type": "summary",
             "job_id": job.id,
@@ -450,11 +456,6 @@ class CharacterizationService:
     def _run_job(self, job: _Job) -> None:
         job.status = "running"
         resume = os.path.exists(os.path.join(job.journal_dir, PLAN_FILE))
-        fault_policy = (
-            FaultPolicy(deadline=self._config.request_deadline)
-            if self._config.request_deadline is not None
-            else None
-        )
 
         def run(resume: bool):
             return self._observatory.sweep(
@@ -465,7 +466,7 @@ class CharacterizationService:
                 on_error="degrade",
                 journal_dir=job.journal_dir,
                 resume=resume,
-                fault_policy=fault_policy,
+                fault_policy=self._fault_policy,
             )
 
         try:

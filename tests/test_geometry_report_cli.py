@@ -152,3 +152,20 @@ def test_cli_report_unknown_model(capsys):
     code = cli_main(["report", "--models", "bert,unknown-model"])
     assert code == 2
     assert "unknown" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_non_positive_deadline(capsys):
+    for deadline in ("0", "-1"):
+        code = cli_main(
+            [
+                "sweep",
+                "--models",
+                "bert",
+                "--properties",
+                "row_order_insignificance",
+                "--deadline",
+                deadline,
+            ]
+        )
+        assert code == 2
+        assert "deadline must be positive" in capsys.readouterr().err

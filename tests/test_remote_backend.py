@@ -331,10 +331,9 @@ class TestSweepThroughRemote:
         runtime = RuntimeConfig(
             backend="remote",
             transport=TransportConfig(urls=(service.url,), retries=1),
-            on_error="degrade",
         )
         sweep = Observatory(seed=0, sizes=SIZES, runtime=runtime).sweep(
-            ["bert"], ["row_order_insignificance"]
+            ["bert"], ["row_order_insignificance"], on_error="degrade"
         )
         assert not sweep.cells and len(sweep.failures) == 1
         assert sweep.transport.http_errors == 2

@@ -2,8 +2,7 @@
 
 Three layers, cheapest first:
 
-1. Pure-logic units — :func:`build_groups` corpus affinity,
-   :func:`lpt_order`, and :class:`CostModel` prior resolution.
+1. Pure-logic units — :func:`build_groups` corpus affinity.
 2. A Hypothesis suite driving :class:`GroupScheduler` with in-process
    fake (thread) workers, exploring worker counts, group shapes, and
    crash subsets without paying spawn cost: every group must complete
@@ -15,7 +14,6 @@ Three layers, cheapest first:
    itself.
 """
 
-import json
 import os
 import queue
 import signal
@@ -35,13 +33,10 @@ from repro.errors import ObservatoryError
 from repro.runtime.scheduler import (
     CRASH_ENV,
     STALL_ENV,
-    CostModel,
     GroupScheduler,
     WorkStealingSweep,
     _FanInResults,
     build_groups,
-    load_cost_model,
-    lpt_order,
 )
 from repro.runtime.sweep import WORKERS_ENV, order_cells
 
@@ -69,7 +64,7 @@ def cell_dicts(sweep_cells):
 
 
 # ----------------------------------------------------------------------
-# Layer 1: groups, LPT, cost priors
+# Layer 1: work groups
 # ----------------------------------------------------------------------
 
 
@@ -107,107 +102,6 @@ class TestBuildGroups:
 
     def test_empty(self):
         assert build_groups([]) == []
-
-
-class TestCostModel:
-    def test_resolution_order(self):
-        model = CostModel(
-            cell_priors={("bert", "sample_fidelity"): 9.0},
-            property_priors={"sample_fidelity": 4.0, "join_relationship": 2.0},
-        )
-        assert model.estimate_cell("bert", "sample_fidelity") == 9.0  # exact
-        assert model.estimate_cell("t5", "sample_fidelity") == 4.0  # property mean
-        assert model.estimate_cell("t5", "heterogeneous_context") == 3.0  # static
-        assert model.estimate_cell("t5", "unknown_property") == 1.0  # fallback
-
-    def test_from_records_builds_property_means(self):
-        model = CostModel.from_records(
-            [
-                {"model": "bert", "property": "sample_fidelity", "seconds": 2.0},
-                {"model": "t5", "property": "sample_fidelity", "seconds": 4.0},
-                {"model": "bert", "property": "bad"},  # no seconds: ignored
-            ]
-        )
-        assert model.estimate_cell("bert", "sample_fidelity") == 2.0
-        assert model.estimate_cell("doduo", "sample_fidelity") == 3.0
-
-    def test_lpt_puts_heavy_group_first_and_is_stable(self):
-        groups = build_groups(
-            order_cells(
-                [
-                    ("bert", "row_order_insignificance"),
-                    ("bert", "heterogeneous_context"),
-                    ("t5", "row_order_insignificance"),
-                ]
-            )
-        )
-        ordered = lpt_order(groups, CostModel.default())
-        # heterogeneous_context (3.0) outweighs any single shuffle cell.
-        assert ordered[0].corpus == "sotab"
-        # Equal-cost groups keep group_id order (deterministic dispatch).
-        ties = [g.group_id for g in ordered if g.corpus == "wikitables"]
-        assert ties == sorted(ties)
-
-    def test_from_bench_json_top_level_and_scheduler_section(self, tmp_path):
-        top = tmp_path / "top.json"
-        top.write_text(
-            json.dumps(
-                {
-                    "cell_records": [
-                        {"model": "bert", "property": "sample_fidelity", "seconds": 7.0}
-                    ]
-                }
-            )
-        )
-        nested = tmp_path / "nested.json"
-        nested.write_text(
-            json.dumps(
-                {
-                    "scheduler": {
-                        "cell_records": [
-                            {
-                                "model": "t5",
-                                "property": "sample_fidelity",
-                                "seconds": 5.0,
-                            }
-                        ]
-                    }
-                }
-            )
-        )
-        assert CostModel.from_bench_json(str(top)).estimate_cell(
-            "bert", "sample_fidelity"
-        ) == 7.0
-        assert CostModel.from_bench_json(str(nested)).estimate_cell(
-            "t5", "sample_fidelity"
-        ) == 5.0
-
-    def test_bad_prior_files_fail_loudly(self, tmp_path):
-        with pytest.raises(ObservatoryError, match="cost priors"):
-            CostModel.from_bench_json(str(tmp_path / "missing.json"))
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"schema_version": 6}))
-        with pytest.raises(ObservatoryError, match="cell_records"):
-            CostModel.from_bench_json(str(empty))
-
-    def test_load_cost_model_env_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_COST_PRIORS", raising=False)
-        assert load_cost_model().source == "default"
-        priors = tmp_path / "bench.json"
-        priors.write_text(
-            json.dumps(
-                {
-                    "cell_records": [
-                        {"model": "bert", "property": "sample_fidelity", "seconds": 1.0}
-                    ]
-                }
-            )
-        )
-        monkeypatch.setenv("REPRO_SWEEP_COST_PRIORS", str(priors))
-        assert load_cost_model().source == str(priors)
-        explicit = tmp_path / "explicit.json"
-        explicit.write_text(priors.read_text())
-        assert load_cost_model(str(explicit)).source == str(explicit)
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +289,21 @@ class TestProcessOracles:
             assert cell_dicts(stealing.cells) == thread_cells
             # Cells come back in the cache-aware execution order.
             assert [(c.model_name, c.property_name) for c in stealing.cells] == runnable
+
+    def test_groups_are_dispatched_in_cache_aware_order(self):
+        runnable = order_cells(
+            [
+                ("bert", "row_order_insignificance"),
+                ("bert", "heterogeneous_context"),
+                ("t5", "row_order_insignificance"),
+            ]
+        )
+        outcome = WorkStealingSweep(make_observatory(), max_workers=1).run(runnable)
+        first_dispatch = []
+        for entry in outcome.scheduler.dispatch_log:
+            if entry["group"] not in first_dispatch:
+                first_dispatch.append(entry["group"])
+        assert first_dispatch == [0, 1, 2]
 
     def test_crash_salvage_completes_the_sweep(self, thread_cells, monkeypatch):
         # The BrokenProcessPool regression: one worker dying used to lose

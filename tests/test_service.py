@@ -415,6 +415,18 @@ class TestRequestPlane:
         finally:
             client.close()
 
+    def test_non_positive_request_deadline_is_rejected_at_construction(self, tmp_path):
+        # A job with no budget could never finish, so the service refuses
+        # the setting before it binds or accepts anything.
+        for deadline in (0.0, -1.0):
+            with pytest.raises(ServiceError, match="request_deadline"):
+                CharacterizationService(
+                    make_observatory(),
+                    config=ServiceConfig(
+                        request_deadline=deadline, state_dir=str(tmp_path / "state")
+                    ),
+                )
+
 
 # ---------------------------------------------------------------------------
 # Durability plane: restart replay

@@ -299,7 +299,7 @@ class TestSweepResume:
         assert header["plan"]["blas"] == first.blas == blas_regime()
         # Forge the journal as if written under another OpenBLAS core:
         # resuming it would mix bits from two regimes.
-        header["plan"]["blas"] = "Haswell, 1 thread"
+        header["plan"]["blas"] = blas_regime() + " (forged)"  # differs on every host
         header["fingerprint"] = plan_fingerprint(header["plan"])
         with open(plan_path, "w", encoding="utf-8") as handle:
             json.dump(header, handle)
@@ -375,12 +375,6 @@ class TestFaultPolicy:
         block = render_sweep(sweep).split("Degraded cells", 1)[1]
         for property_name in PROPS:
             assert f"- bert / {property_name}: DeadlineExceededError" in block
-
-    def test_policy_round_trips_and_rejects_unknown_keys(self):
-        policy = FaultPolicy(deadline=30.0, scheduler_retries=1)
-        assert FaultPolicy.from_jsonable(policy.to_jsonable()) == policy
-        with pytest.raises(ValueError, match="unknown"):
-            FaultPolicy.from_jsonable({"bogus_knob": 1})
 
     def test_deadline_bound_and_epoch(self):
         unbounded = Deadline(None)
