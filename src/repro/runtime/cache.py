@@ -1,18 +1,19 @@
 """Embedding cache: in-memory LRU tier + optional bounded on-disk tier.
 
 Entries are keyed by ``(model_name, kind, fingerprint)`` where ``kind`` is
-an embedding level (``"column"``, ``"row"``, ``"table"``, …) or a composite
-request kind (``"cells/<coords-hash>"``).  Values are either a single
-``np.ndarray`` or a dict of arrays (cell/entity requests).
+an embedding level (``"column"``, ``"row"``, ``"table"``), ``"valuecol"``,
+or one of the per-table record kinds ``"cells"`` and ``"entity"``.  Every
+value is one ``np.ndarray``: a table's cell and entity embeddings are a
+single structured array of records (see
+:meth:`~repro.runtime.planner.EmbeddingExecutor.embed_cells`).
 
 The memory tier is a thread-safe LRU bounded by entry count.  The optional
-disk tier (:class:`~repro.runtime.disk.DiskTier`) persists plain-array
-entries as ``.npy`` files governed by an append-only index log, a byte
-budget, and an age limit, so repeated benchmark runs — and the worker
-processes of a sharded sweep, which share the directory — only pay for
-what actually changed; dict-valued entries stay memory-only.  All
-accounting is exposed as :class:`CacheStats` for reporting and the
-bench-smoke CI gate.
+disk tier (:class:`~repro.runtime.disk.DiskTier`) persists every entry as
+an ``.npy`` file governed by an append-only index log, a byte budget, and
+an age limit, so repeated benchmark runs — and the worker processes of a
+sharded sweep, which share the directory — only pay for what actually
+changed.  All accounting is exposed as :class:`CacheStats` for reporting
+and the bench-smoke CI gate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from repro.runtime.fingerprint import cache_entry_digest
 from repro.telemetry import Counters
 
 CacheKey = Tuple[str, ...]
-CacheValue = Union[np.ndarray, Dict[object, np.ndarray]]
 
 # Salt mixed into every disk-tier filename.  The on-disk cache outlives the
 # process, so entries must be invalidated whenever the embedding *math*
@@ -71,13 +71,13 @@ class CacheStats(Counters):
 
 
 class EmbeddingCache:
-    """Bounded, thread-safe LRU of embedding results with a disk tier.
+    """Bounded, thread-safe LRU of embedding arrays with a disk tier.
 
     Args:
         max_entries: memory-tier capacity; least recently used entries are
             evicted first (they remain on disk if the disk tier is active).
-        disk_dir: optional directory for the persistent tier.  Only plain
-            ``np.ndarray`` values are persisted.
+        disk_dir: optional directory for the persistent tier, which holds
+            every entry.
         disk_max_bytes: byte budget of the disk tier (``None`` = unbounded).
         disk_max_age: seconds after which disk entries expire
             (``None`` = never).
@@ -98,7 +98,7 @@ class EmbeddingCache:
         self.max_entries = max_entries
         self.disk_dir = disk_dir
         self.stats = CacheStats()
-        self._entries: "OrderedDict[CacheKey, CacheValue]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
         self.disk: Optional[DiskTier] = None
         if disk_dir is not None:
@@ -123,19 +123,18 @@ class EmbeddingCache:
         # monkeypatching it) invalidates every outstanding entry name.
         return cache_entry_digest(key, CACHE_SCHEMA_VERSION)
 
-    def get(self, key: CacheKey) -> Optional[CacheValue]:
+    def get(self, key: CacheKey) -> Optional[np.ndarray]:
         """Look up ``key`` in memory, then disk; ``None`` on a miss.
 
-        Returned arrays are read-only views of the cached entry (mutating
-        one would corrupt every aliased result); dict-valued entries come
-        back as shallow copies so callers may add/remove keys freely.
+        Returned arrays are the read-only cached entry (mutating one would
+        corrupt every aliased result).
         """
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                return dict(value) if isinstance(value, dict) else value
+                return value
         if self.disk is not None:
             value = self.disk.get(self._entry_name(key))
             if value is not None:
@@ -151,12 +150,12 @@ class EmbeddingCache:
             self.stats.misses += 1
         return None
 
-    def put(self, key: CacheKey, value: CacheValue) -> None:
-        """Insert ``value`` (also written to the disk tier when eligible)."""
+    def put(self, key: CacheKey, value: np.ndarray) -> None:
+        """Insert ``value`` (also written to the disk tier when active)."""
         with self._lock:
             self.stats.puts += 1
             self._store(key, value)
-        if self.disk is not None and isinstance(value, np.ndarray):
+        if self.disk is not None:
             stored = self.disk.put(self._entry_name(key), value)
             with self._lock:
                 if stored:
@@ -171,15 +170,10 @@ class EmbeddingCache:
         self.stats.disk_evictions = self.disk.evictions
         self.stats.disk_drops = self.disk.drops
 
-    def _store(self, key: CacheKey, value: CacheValue) -> None:
+    def _store(self, key: CacheKey, value: np.ndarray) -> None:
         # Caller holds the lock.  Freeze arrays so external mutation of a
         # returned result raises instead of silently poisoning the cache.
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        elif isinstance(value, dict):
-            for member in value.values():
-                if isinstance(member, np.ndarray):
-                    member.setflags(write=False)
+        value.setflags(write=False)
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:

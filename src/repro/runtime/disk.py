@@ -484,14 +484,16 @@ class DiskTier:
         """Store ``value`` atomically; returns whether it was kept.
 
         An entry larger than the entire byte budget is rejected (storing
-        it could never satisfy the bound).  Insertion triggers expiry and
+        it could never satisfy the bound), and so is an array that only
+        pickle can save (``get`` loads without pickle, so it would be
+        dropped as corrupt on every read).  Insertion triggers expiry and
         LRU eviction so the budget holds after every operation.
         """
         tmp = os.path.join(self.directory, f"{_TMP_PREFIX}{uuid.uuid4().hex}.npy")
         try:
-            np.save(tmp, value)
+            np.save(tmp, value, allow_pickle=False)
             size = os.path.getsize(tmp)
-        except OSError:
+        except (OSError, ValueError):
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             return False  # best-effort tier: a failing disk is a miss

@@ -585,8 +585,7 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
     # The parent's monotonic countdown can't cross the spawn boundary;
     # it ships as an absolute epoch and restarts here.
     deadline = Deadline.from_epoch(payload.get("deadline_epoch"))
-    if hasattr(observatory, "apply_deadline"):
-        observatory.apply_deadline(deadline)
+    observatory.apply_deadline(deadline)
     results.send(("ready", worker_id))
     # This process holds both ends of the inbox's pipe, so a SIGKILLed
     # parent never reads as EOF there: poll, and leave once it is gone.

@@ -475,21 +475,6 @@ def _sweep_plan(
     }
 
 
-def _apply_deadline(observatory, deadline: Deadline) -> None:
-    """Hand the sweep's live countdown to deadline-aware layers.
-
-    The remote backend bounds per-attempt timeouts and backoff sleeps;
-    the cache bounds disk-lock patience.  Layers without a
-    ``set_deadline`` hook are simply unbounded, as before.
-    """
-    for target in (
-        getattr(observatory, "encoder_backend", None),
-        getattr(observatory, "cache", None),
-    ):
-        if target is not None and hasattr(target, "set_deadline"):
-            target.set_deadline(deadline)
-
-
 def run_sweep(
     observatory,
     model_names: Sequence[str],
@@ -521,7 +506,7 @@ def run_sweep(
     on_error = resolve_on_error(on_error)
     policy = fault_policy or FaultPolicy()
     deadline = policy.start_deadline()
-    _apply_deadline(observatory, deadline)
+    observatory.apply_deadline(deadline)
     backend_desc = observatory.backend_description()
     # Counter sources accumulate for their lifetime; snapshot here so
     # this sweep reports only its own work, not a previous sweep's (the

@@ -4,10 +4,26 @@ import numpy as np
 import pytest
 
 from repro.core.levels import EmbeddingLevel
+from repro.models.registry import load_model
 from repro.relational.table import Table
 from repro.runtime.cache import EmbeddingCache
+from repro.runtime.fingerprint import table_fingerprint
 from repro.runtime.planner import EmbeddingExecutor, RuntimeConfig, as_executor
 from tests.conftest import cached_model
+
+
+def counting_model(name, monkeypatch):
+    """A fresh model whose encoder records the length of every sequence it encodes."""
+    model = load_model(name)
+    encoded = []
+    encode = model.encoder.encode
+
+    def counting(tokens):
+        encoded.append(len(tokens))
+        return encode(tokens)
+
+    monkeypatch.setattr(model.encoder, "encode", counting)
+    return model, encoded
 
 
 @pytest.fixture()
@@ -25,6 +41,16 @@ def tables():
             )
         )
     return out
+
+
+@pytest.fixture()
+def linked_table(tennis_table):
+    return Table(
+        tennis_table.schema,
+        tennis_table.rows,
+        entity_links={(0, 0): "tennis:Roger Federer", (1, 0): "tennis:Rafael Nadal"},
+        table_id="planner-linked",
+    )
 
 
 LEVELS = (EmbeddingLevel.COLUMN, EmbeddingLevel.ROW, EmbeddingLevel.TABLE)
@@ -168,6 +194,67 @@ class TestExecutor:
         second = executor.embed_cells(table, coords)
         assert set(first) == set(second)
         assert cache.stats.hits >= 1
+
+    def test_p4_encodes_each_case_table_once(self, monkeypatch):
+        from repro.core.properties.p4_functional_dependencies import FunctionalDependencies
+        from repro.data.spider import SpiderGenerator
+
+        cases = SpiderGenerator(seed=9).fd_evaluation_sets(2)
+        model, encoded = counting_model("bert", monkeypatch)
+        executor = EmbeddingExecutor(model, cache=EmbeddingCache(max_entries=64))
+        result = FunctionalDependencies().run(executor, cases)
+        distinct = {table_fingerprint(case.table) for group in cases for case in group}
+        # Cases share tables, so one encode per table is fewer than one per case.
+        assert len(encoded) == len(distinct) < sum(map(len, cases))
+        direct = FunctionalDependencies().run(cached_model("bert"), cases)
+        assert result.to_dict() == direct.to_dict()
+
+    def test_disk_tier_serves_cells_and_entities_without_encoding(
+        self, tmp_path, monkeypatch, linked_table
+    ):
+        long_table = Table.from_columns(
+            [
+                ("name", [f"item number {i}" for i in range(120)]),
+                ("price", list(range(120))),
+            ],
+            table_id="planner-long",
+        )
+        coords = [(0, 0), (3, 1), (119, 0)]
+        raw = cached_model("bert")
+        want_cells = raw.embed_cells(long_table, coords)
+        want_entities = raw.embed_entities(linked_table)
+        assert set(want_cells) == {(0, 0), (3, 1)}  # (119, 0) is truncated away
+
+        first = EmbeddingExecutor(
+            load_model("bert"), cache=EmbeddingCache(max_entries=8, disk_dir=str(tmp_path))
+        )
+        first.embed_cells(long_table, coords[:1])
+        first.embed_entities(linked_table)
+        model, encoded = counting_model("bert", monkeypatch)
+        cache = EmbeddingCache(max_entries=8, disk_dir=str(tmp_path))
+        second = EmbeddingExecutor(model, cache=cache)
+        cells = second.embed_cells(long_table, coords)
+        entities = second.embed_entities(linked_table)
+        assert encoded == [] and cache.stats.disk_hits == 2
+        assert set(cells) == set(want_cells)
+        assert all(np.array_equal(cells[k], want_cells[k]) for k in want_cells)
+        assert set(entities) == set(want_entities)
+        assert all(np.array_equal(entities[k], want_entities[k]) for k in want_entities)
+
+    def test_returned_dicts_are_fresh(self, bert, linked_table):
+        executor = EmbeddingExecutor(bert, cache=EmbeddingCache(max_entries=8))
+        coords = [(0, 0), (1, 2)]
+        cells = executor.embed_cells(linked_table, coords)
+        cells.pop((0, 0))
+        cells[(9, 9)] = np.ones(bert.dim)
+        assert set(executor.embed_cells(linked_table, coords)) == {(0, 0), (1, 2)}
+        entities = executor.embed_entities(linked_table)
+        ids = set(entities)
+        entities.clear()
+        again = executor.embed_entities(linked_table)
+        assert set(again) == ids and ids
+        with pytest.raises(ValueError):
+            again[min(ids)][0] = 0.0  # vectors are read-only views of the entry
 
     def test_unknown_level_rejected(self, bert, tables):
         executor = as_executor(bert)

@@ -376,6 +376,20 @@ class TestFaultPolicy:
         for property_name in PROPS:
             assert f"- bert / {property_name}: DeadlineExceededError" in block
 
+    def test_thread_engine_hands_the_deadline_to_backend_and_cache(self, monkeypatch):
+        observatory = make_observatory(max_workers=1)
+        received = {}
+        for name, sink in (("backend", observatory.encoder_backend), ("cache", observatory.cache)):
+            monkeypatch.setattr(
+                sink, "set_deadline", lambda d, name=name: received.setdefault(name, d),
+                raising=False,
+            )
+        observatory.sweep(
+            ["bert"], PROPS[:1], fault_policy=FaultPolicy(deadline=600.0), execution="thread"
+        )
+        assert set(received) == {"backend", "cache"}
+        assert all(isinstance(d, Deadline) and d.remaining() > 0 for d in received.values())
+
     def test_deadline_bound_and_epoch(self):
         unbounded = Deadline(None)
         assert unbounded.bound(5.0) == 5.0
