@@ -419,7 +419,9 @@ class Observatory:
             self,
             list(models),
             property_names,
-            max_workers=max_workers or self.runtime.max_workers,
+            max_workers=(
+                max_workers if max_workers is not None else self.runtime.max_workers
+            ),
             execution=execution,
             on_error=on_error,
             journal_dir=journal_dir,

@@ -5,12 +5,9 @@ promise was *bit-identity*: every embedding the vectorized gathers and
 mask reductions produce must equal, to the last ulp, what the per-token
 loops produced.  That promise is only checkable against an executable
 oracle, so the legacy loops live here verbatim — operating on
-``List[Token]`` exactly as the object era did:
-
-- ``tests/test_token_array.py`` compares the production columnar path
-  against these functions for every serializer × model family × backend;
-- ``benchmarks/bench_runtime_sweep.py`` times them as the PR 3 baseline
-  its serialize+aggregate speedup gate measures against.
+``List[Token]`` exactly as the object era did.  ``tests/test_token_array.py``
+compares the production columnar path against these functions for every
+serializer × model family × backend.
 
 Do not "optimize" this module: its entire value is staying byte-for-byte
 faithful to the pre-columnar semantics.  Production code must never call

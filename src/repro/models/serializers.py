@@ -16,9 +16,7 @@ Serializers emit the columnar :class:`~repro.models.token_array.TokenArray`
 natively — piece ids are interned at append time, so the hot path never
 constructs per-token objects.  The legacy ``Token``-object emitters
 (``serialize_tokens`` and friends) are kept verbatim as the compat /
-reference API: ablations and the bit-identity suite compare the two, and
-``benchmarks/bench_runtime_sweep.py`` times the object path as the PR 3
-serialization baseline.
+reference API: ablations and the bit-identity suite compare the two.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ an ``.npy`` file governed by an append-only index log, a byte budget, and
 an age limit, so repeated benchmark runs — and the worker processes of a
 sharded sweep, which share the directory — only pay for what actually
 changed.  All accounting is exposed as :class:`CacheStats` for reporting
-and the bench-smoke CI gate.
+and tests.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ unchanged against an executor.
 
 A ``naive=True`` executor disables every optimization and reproduces the
 pre-runtime compute profile (separate encode per level, no dedup, no
-cache); it is the baseline ``benchmarks/bench_runtime_sweep.py`` measures
-against.
+cache); it is the reference the runtime's results must equal bit for
+bit, and the baseline ``tests/test_runtime_sweep.py`` counts encoder
+tokens against.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class RuntimeConfig:
     Attributes:
         enabled: when False the Observatory runs every embedding request
             through the legacy one-call-at-a-time path (no cache, no
-            batching) — the baseline configuration for benchmarks.
+            batching) — the reference configuration tests compare
+            the runtime against.
         batch_size: tables per encoder batch in ``embed_levels_batch``.
         cache_entries: memory-tier LRU capacity of the shared cache.
         disk_cache_dir: optional directory for the persistent cache tier.

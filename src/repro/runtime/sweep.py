@@ -125,10 +125,14 @@ def resolve_workers(explicit: Optional[int] = None) -> Optional[int]:
     The caller passes whatever the API/RuntimeConfig resolved; only when
     that is unset does the environment override apply, so a session-wide
     ``REPRO_SWEEP_WORKERS=8`` never silently beats an explicit argument.
-    The env value must be a positive integer — a typo'd override failing
-    loudly beats a sweep quietly running single-worker.
+    Either value must be a positive integer — a typo'd count failing
+    loudly beats a sweep quietly running with some other one.
     """
     if explicit is not None:
+        if explicit < 1:
+            raise ObservatoryError(
+                f"max_workers must be a positive integer, got {explicit!r}"
+            )
         return explicit
     raw = os.environ.get(WORKERS_ENV)
     if raw is None or not raw.strip():
@@ -687,8 +691,14 @@ def _dispatch_sweep(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(attempt, c) for c in todo]
-            for future in as_completed(futures):
-                finish(future.result())
+            try:
+                for future in as_completed(futures):
+                    finish(future.result())
+            except BaseException:
+                # Abort: cells not yet started never start; the block's
+                # exit still waits for the ones already running.
+                pool.shutdown(cancel_futures=True)
+                raise
     cells.extend(replayed_cells)
     cells.sort(key=rank)
 

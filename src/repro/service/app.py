@@ -14,7 +14,7 @@ is full the service answers a typed 429 with ``Retry-After``
 unboundedly or hanging.  Jobs are identified by a fingerprint over the
 canonical request payload, so identical concurrent submissions join one
 run, and exact repeats are answered straight from the bounded result
-cache (the measured fast path — see ``benchmarks/bench_service.py``).
+cache, unchanged and without touching the runtime.
 Results stream incrementally: every job writes a per-job write-ahead
 sweep journal, and ``GET /v1/jobs/{id}/stream`` tails it, emitting one
 NDJSON record per completed :class:`~repro.runtime.sweep.SweepCell` the
@@ -96,7 +96,8 @@ class ServiceConfig:
             typed 429 with ``Retry-After: retry_after``.
         runners: job-runner threads draining the admission queue.
         sweep_workers: worker-pool size of each served sweep (``None`` =
-            the runtime default).
+            the runtime default).  A value below 1 is rejected when the
+            service is built.
         cache_size: result-cache entries kept (LRU past it).
         state_dir: durability root — the request journal lives at
             ``state_dir/requests`` and per-job sweep journals under
@@ -158,6 +159,9 @@ class CharacterizationService:
             self._fault_policy = FaultPolicy(deadline=self._config.request_deadline)
         except ValueError as error:
             raise ServiceError(f"request_deadline: {error}") from None
+        workers = self._config.sweep_workers
+        if workers is not None and workers < 1:
+            raise ServiceError(f"sweep_workers must be a positive integer, got {workers!r}")
         self._state_dir = self._config.state_dir or tempfile.mkdtemp(
             prefix="repro-service-"
         )

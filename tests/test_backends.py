@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.levels import EmbeddingLevel
 from repro.errors import ModelError
 from repro.models.backends import (
+    BATCH_MAX_LENGTH,
     PADDED_TOLERANCE,
     LocalBackend,
     PaddedBackend,
@@ -233,6 +234,37 @@ class TestPaddedTolerance:
         assert stats.padded_batches >= 1
         assert stats.real_tokens > 0
         assert 0.0 <= stats.waste_ratio < 1.0
+
+    def test_padded_needs_fewer_forwards_on_all_distinct_lengths(self, bert, monkeypatch):
+        # The corpus padding exists for: no two lengths match, so exact
+        # grouping runs one forward per sequence while tiers still stack.
+        by_length = {}
+        for i in range(60):
+            tokens = serialized(bert, [make_table((1 + i % 7, 1 + i % 3, 1 + i % 2), i)])[0]
+            if len(tokens) <= BATCH_MAX_LENGTH:
+                by_length.setdefault(len(tokens), tokens)
+        token_lists = list(by_length.values())
+        encoder = bert.encoder
+        forwards = []  # sequences per forward
+        encode, stacked = encoder.encode, encoder.forward_padded
+
+        def counting_encode(tokens):
+            forwards.append(1)
+            return encode(tokens)
+
+        def counting_stacked(batch):
+            forwards.append(len(batch))
+            return stacked(batch)
+
+        monkeypatch.setattr(encoder, "encode", counting_encode)
+        monkeypatch.setattr(encoder, "forward_batch", counting_stacked)
+        monkeypatch.setattr(encoder, "forward_padded", counting_stacked)
+        LocalBackend().encode_batch(encoder, token_lists, batch_size=16)
+        assert forwards == [1] * len(token_lists)
+        forwards.clear()
+        PaddedBackend(tier_width=8).encode_batch(encoder, token_lists, batch_size=16)
+        assert sum(forwards) == len(token_lists)
+        assert len(forwards) < len(token_lists)  # 5 forwards for 22 lengths
 
     def test_tier_bounds_per_sequence_waste(self):
         backend = PaddedBackend(tier_width=4)

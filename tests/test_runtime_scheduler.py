@@ -289,6 +289,10 @@ class TestProcessOracles:
             assert cell_dicts(stealing.cells) == thread_cells
             # Cells come back in the cache-aware execution order.
             assert [(c.model_name, c.property_name) for c in stealing.cells] == runnable
+            # The dispatch log is complete: exactly one win per group.
+            log = stealing.scheduler.dispatch_log
+            won = sorted(e["group"] for e in log if e["outcome"] == "won")
+            assert won == list(range(stealing.scheduler.groups))
 
     def test_groups_are_dispatched_in_cache_aware_order(self):
         runnable = order_cells(
@@ -455,6 +459,18 @@ class TestWorkersEnv:
                 make_observatory().sweep(
                     ["bert"], ["row_order_insignificance"], execution="thread"
                 )
+        # An explicit count is held to the same rule, on either engine,
+        # before any worker starts: 0 is not "auto" and -1 is not serial.
+        monkeypatch.delenv(WORKERS_ENV)
+        for bad in (0, -1):
+            for execution in ("thread", "process"):
+                with pytest.raises(ObservatoryError, match="max_workers"):
+                    make_observatory().sweep(
+                        ["bert"],
+                        ["row_order_insignificance"],
+                        max_workers=bad,
+                        execution=execution,
+                    )
 
 
 # A parent that starts one worker the way WorkStealingSweep does, waits

@@ -15,6 +15,7 @@ from repro.analysis.report import render_sweep, sweep_matrix
 from repro.core.framework import DatasetSizes
 from repro.core.results import ModelCharacterizations, SkippedCell
 from repro.errors import ObservatoryError
+from repro.models.encoder import Encoder
 from repro.runtime.cache import CacheStats
 
 SIZES = DatasetSizes(
@@ -193,3 +194,75 @@ def test_disk_cache_reused_across_observatories(tmp_path):
     assert second.cache.stats.disk_hits > 0
     expected = first.characterize("bert", "row_order_insignificance")
     assert result.to_dict() == expected.to_dict()
+
+
+# The two-pass workflow: characterize a matrix, then re-characterize it
+# unchanged.  Dedup, level bundling and the cache remove encoder work,
+# and that work is an exact count, so the win is asserted in tokens
+# rather than seconds.
+WORKFLOW_MODELS = ["bert", "tapas"]
+WORKFLOW_PROPS = [
+    "row_order_insignificance",
+    "column_order_insignificance",
+    "perturbation_robustness",
+    "heterogeneous_context",
+]
+WORKFLOW_SIZES = DatasetSizes(
+    wikitables_tables=3, sotab_tables=4, n_permutations=4, min_rows=5, max_rows=7
+)
+
+
+def count_encoder_tokens(monkeypatch):
+    """Record the tokens every Encoder forward receives, for every model."""
+    counted = []
+    encode, stacked = Encoder.encode, Encoder.forward_padded
+
+    def counting_encode(self, tokens):
+        counted.append(len(tokens))
+        return encode(self, tokens)
+
+    def counting_stacked(self, token_lists):
+        counted.append(sum(len(tokens) for tokens in token_lists))
+        return stacked(self, token_lists)
+
+    monkeypatch.setattr(Encoder, "encode", counting_encode)
+    monkeypatch.setattr(Encoder, "forward_padded", counting_stacked)
+    monkeypatch.setattr(Encoder, "forward_batch", counting_stacked)
+
+    def drain() -> int:
+        total = sum(counted)
+        counted.clear()
+        return total
+
+    return drain
+
+
+def test_two_pass_workflow_encodes_a_quarter_of_the_runtime_off_tokens(monkeypatch):
+    # One thread worker: spawned workers never see the patch, and two
+    # concurrent cells can both miss one table, so only serial counts repeat.
+    drain = count_encoder_tokens(monkeypatch)
+    off = Observatory(seed=0, sizes=WORKFLOW_SIZES, runtime=RuntimeConfig(enabled=False))
+    expected = {}
+    off_tokens = []
+    for _ in range(2):
+        for model in WORKFLOW_MODELS:
+            for prop in WORKFLOW_PROPS:
+                expected[(model, prop)] = off.characterize(model, prop).to_dict()
+        off_tokens.append(drain())
+
+    obs = Observatory(seed=0, sizes=WORKFLOW_SIZES, runtime=RuntimeConfig(batch_size=16))
+    sweeps, sweep_tokens = [], []
+    for _ in range(2):
+        sweeps.append(
+            obs.sweep(WORKFLOW_MODELS, WORKFLOW_PROPS, max_workers=1, execution="thread")
+        )
+        sweep_tokens.append(drain())
+    cold_tokens, warm_tokens = sweep_tokens
+
+    assert 0 < cold_tokens <= off_tokens[0]
+    assert warm_tokens == 0
+    assert sum(off_tokens) >= 3.5 * (cold_tokens + warm_tokens)  # 4.00x at seed 0
+    assert obs.cache.stats.hit_rate > 0.45
+    for sweep in sweeps:
+        got = {(c.model_name, c.property_name): c.result.to_dict() for c in sweep.cells}
+        assert got == expected

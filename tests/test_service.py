@@ -317,17 +317,22 @@ class TestRequestPlane:
             assert got == want  # cell-for-cell parity, every client
 
     def test_repeat_client_hits_result_cache(self, service):
-        svc, _observatory = service
+        svc, observatory = service
         client = ServiceClient(svc.url)
         try:
             first = client.submit(["bert"], ["row_order_insignificance"])
             assert first["status"] in ("queued", "done")
-            client.characterize(["bert"], ["row_order_insignificance"])
+            result = client.characterize(["bert"], ["row_order_insignificance"])
             before = client.stats()["cache"]["hits"]
+            embedding = (observatory.cache.stats.hits, observatory.cache.stats.misses)
             repeat = client.submit(["bert"], ["row_order_insignificance"])
             assert repeat["status"] == "done"
             assert repeat["cache_hit"] is True
             assert repeat["result"]["cells"]
+            # The stored result, unchanged, with no runtime work behind it:
+            # not one embedding-cache lookup, so no sweep ran.
+            assert repeat["result"] == result
+            assert (observatory.cache.stats.hits, observatory.cache.stats.misses) == embedding
             stats = client.stats()
             assert stats["cache"]["hits"] == before + 1
             assert stats["blas"] == blas_regime()
@@ -424,6 +429,17 @@ class TestRequestPlane:
                     make_observatory(),
                     config=ServiceConfig(
                         request_deadline=deadline, state_dir=str(tmp_path / "state")
+                    ),
+                )
+
+    def test_non_positive_sweep_workers_is_rejected_at_construction(self, tmp_path):
+        # Every job's sweep would refuse it, so refuse it once, up front.
+        for workers in (0, -1):
+            with pytest.raises(ServiceError, match="sweep_workers"):
+                CharacterizationService(
+                    make_observatory(),
+                    config=ServiceConfig(
+                        sweep_workers=workers, state_dir=str(tmp_path / "state")
                     ),
                 )
 
@@ -710,6 +726,23 @@ class TestServeCli:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
+
+    def test_serve_exits_2_on_non_positive_sweep_workers(self, tmp_path):
+        # Refused before the service binds, not by every job it would run.
+        # A subprocess, so a service that does start cannot hang the suite.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--sweep-workers", "0",
+             "--state-dir", str(tmp_path / "state")],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert "sweep_workers must be a positive integer" in done.stderr
 
     def test_count_service_cells_empty_and_missing(self, tmp_path):
         assert count_service_cells(str(tmp_path)) == 0

@@ -15,6 +15,8 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,33 @@ class TestFaultPolicy:
         with pytest.raises(CellExecutionError) as info:
             make_observatory(max_workers=1).sweep(MODELS, PROPS, execution="thread")
         assert isinstance(info.value.__cause__, ValueError)
+
+    def test_abort_starts_no_further_cells_on_the_thread_pool(self, monkeypatch):
+        from repro.core import framework
+
+        real = framework.Observatory.characterize
+        started = []
+        lock = threading.Lock()
+
+        def first_fails(self, model_name, property_name, **kwargs):
+            with lock:
+                started.append((model_name, property_name))
+                first = len(started) == 1
+            if first:
+                raise ValueError("injected cell fault")
+            time.sleep(0.5)  # still running when the abort lands
+            return real(self, model_name, property_name, **kwargs)
+
+        monkeypatch.setattr(framework.Observatory, "characterize", first_fails)
+        models = ["bert", "t5", "roberta"]
+        props = ["row_order_insignificance", "column_order_insignificance", "sample_fidelity"]
+        workers = 2
+        with pytest.raises(CellExecutionError) as info:
+            make_observatory().sweep(models, props, max_workers=workers, execution="thread")
+        assert str(info.value.__cause__) == "injected cell fault"
+        # The failing cell, the other worker's cell, and at most one more
+        # picked up before the abort cancels the queue: not all nine.
+        assert len(started) <= workers + 1
 
     def test_expired_deadline_aborts_typed(self):
         policy = FaultPolicy(deadline=1e-6)
