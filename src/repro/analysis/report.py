@@ -205,15 +205,12 @@ def render_sweep(sweep: SweepResult) -> str:
         )
         lines.append(
             f"Fleet: {net.connections_opened} connections opened, "
-            f"{net.connections_reused} reused; {net.hedges} hedges "
-            f"({net.hedges_won} won, {net.hedges_cancelled} cancelled), "
-            f"{net.quarantines} quarantines."
+            f"{net.connections_reused} reused; {net.quarantines} quarantines."
         )
         for url, rep in sorted(net.replicas.items()):
             lines.append(
                 f"- {url}: {rep.chunks} chunks / {rep.requests} requests, "
-                f"{rep.errors} errors, {rep.hedges_won} hedges won, "
-                f"{rep.quarantines} quarantines, "
+                f"{rep.errors} errors, {rep.quarantines} quarantines, "
                 f"mean round-trip {rep.mean_round_trip * 1000.0:.1f}ms"
             )
     if sweep.scheduler is not None:

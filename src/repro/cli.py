@@ -24,8 +24,7 @@ throughput on heterogeneous-length corpora, ``--backend remote
 encoding fleet (repeat ``--remote-url`` per replica;
 ``--remote-timeout``/``--remote-retries`` bound the transport,
 ``--remote-compression gzip`` shrinks wire bytes, ``--remote-state-dtype
-float32`` halves state bytes within tolerance, ``--remote-hedge-after
-0.95`` races stragglers against another replica), ``--no-async`` disables
+float32`` halves state bytes within tolerance), ``--no-async`` disables
 the streaming encode pipeline, and ``--no-cache`` falls back to the
 legacy one-call-at-a-time execution for comparison.  ``--journal DIR``
 write-ahead-journals every completed cell so a killed sweep resumes with
@@ -56,7 +55,6 @@ pruning mode; ``info`` prints the persisted state and its guarantees.
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import sys
 from typing import List, Optional
@@ -163,8 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="URL",
         help=(
             "replica URL of the remote encoding fleet for --backend remote; "
-            "repeat the flag for multiple replicas (weighted routing, "
-            "health tracking, hedging) (default: $REPRO_REMOTE_URL, "
+            "repeat the flag for multiple replicas (latency-weighted "
+            "routing, health tracking) (default: $REPRO_REMOTE_URL, "
             "comma-separated for a fleet)"
         ),
     )
@@ -202,17 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "floating-point tier hidden states ride the wire in: float64 "
             "is bit-exact, float32 halves state bytes within the documented "
             "tolerance and requires --no-exact (default float64)"
-        ),
-    )
-    sweep.add_argument(
-        "--remote-hedge-after",
-        type=float,
-        default=None,
-        metavar="PCTL",
-        help=(
-            "latency percentile in (0,1) after which a straggling chunk is "
-            "speculatively re-sent to another replica (e.g. 0.95; needs "
-            ">=2 replicas; default: hedging off)"
         ),
     )
     sweep.add_argument(
@@ -495,7 +482,7 @@ def _transport_from_args(args: argparse.Namespace) -> Optional[TransportConfig]:
     it, ``$REPRO_REMOTE_URL`` (comma-separated for a fleet) supplies the
     URLs whenever any other remote flag needs a config built.
     """
-    from repro.models.backends.remote import REMOTE_URL_ENV
+    from repro.models.backends.remote import REMOTE_URL_ENV, env_urls
 
     tuned = (
         args.remote_url is not None
@@ -503,15 +490,11 @@ def _transport_from_args(args: argparse.Namespace) -> Optional[TransportConfig]:
         or args.remote_retries is not None
         or args.remote_compression != "none"
         or args.remote_state_dtype != "float64"
-        or args.remote_hedge_after is not None
         or args.remote_pool_size is not None
     )
     if not tuned:
         return None
-    urls = tuple(args.remote_url or ())
-    if not urls:
-        env = os.environ.get(REMOTE_URL_ENV, "")
-        urls = tuple(u.strip() for u in env.split(",") if u.strip())
+    urls = tuple(args.remote_url or ()) or env_urls()
     if not urls:
         raise ValueError(
             "remote transport flags need replica URLs: pass --remote-url "
@@ -528,7 +511,6 @@ def _transport_from_args(args: argparse.Namespace) -> Optional[TransportConfig]:
         urls=urls,
         compression=args.remote_compression,
         state_dtype=args.remote_state_dtype,
-        hedge_after=args.remote_hedge_after,
         **kwargs,
     )
 

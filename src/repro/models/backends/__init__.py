@@ -10,10 +10,10 @@ The batching strategy of every surrogate encoder is a swappable
   :data:`PADDED_TOLERANCE` of exact, and much faster on
   heterogeneous-length corpora.  Opt in via ``RuntimeConfig(exact=False)``.
 - :class:`RemoteBackend` (``"remote"``) — ships TokenArray wire payloads
-  over HTTP to a fleet of encoding replicas (keep-alive connection pools,
-  retry/backoff with rerouting, gzip and float32 wire tiers, per-replica
-  health/latency tracking, hedged requests, latency-aware pipeline
-  chunks); bit-identical to local in exact float64 mode, within
+  over HTTP to a fleet of encoding replicas (one whole chunk per request,
+  routed by per-replica latency, keep-alive connection pools,
+  retry/backoff with rerouting, quarantine of failing replicas, gzip and
+  float32 wire tiers); bit-identical to local in exact float64 mode, within
   :data:`PADDED_TOLERANCE` / :data:`FLOAT32_TOLERANCE` in the opt-in
   tiers.  Configured by a typed :class:`TransportConfig`; opt in via
   ``RuntimeConfig(backend="remote", transport=TransportConfig(urls=...))``.

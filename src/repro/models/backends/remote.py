@@ -1,30 +1,30 @@
 """Remote encoding over HTTP: a fleet client for the TokenArray wire format.
 
-:class:`RemoteBackend` completes the backend seam PR 3 opened: instead of
-running forward passes in-process, it ships serialized sequences — the
-JSON form of :meth:`TokenArray.to_wire` payloads, piece strings plus
-base64 provenance arrays — to one or more encoding replicas and decodes
-the returned hidden states.  The shape follows "BERT Meets Relational DB"
-(arXiv:2104.14914): the client serializes and aggregates (pure Python,
-cheap) while GPU hosts run the contextual encoder (the expensive part),
-and Observatory's 8-properties × many-models sweep matrix is exactly the
-workload that wants that split.
+:class:`RemoteBackend` is the network side of the encoder-backend seam:
+instead of running forward passes in-process, it ships serialized
+sequences — the JSON form of :meth:`TokenArray.to_wire` payloads, piece
+strings plus base64 provenance arrays — to one or more encoding replicas
+and decodes the returned hidden states.  The shape follows "BERT Meets
+Relational DB" (arXiv:2104.14914): the client serializes and aggregates
+(pure Python, cheap) while GPU hosts run the contextual encoder (the
+expensive part), and Observatory's 8-properties × many-models sweep
+matrix is exactly the workload that wants that split.
 
 Everything about the transport is configured through one typed object,
 :class:`~repro.models.backends.transport.TransportConfig`:
 
 - **Replicas** (``urls``): each URL is an independent encoding service.
-  The client tracks per-replica health (consecutive failures) and latency
-  (per-sequence round-trip EWMA + minimum observed RTT), splits each
-  encode chunk into per-replica shards weighted by measured speed, and
-  **quarantines** a replica after repeated transport failures — probing
-  it again once the quarantine lapses, so a recovered host rejoins the
-  rotation without operator action.
+  Each encode chunk goes whole, in one request, to the replica routing
+  favors: unexplored replicas first, then the lowest per-sequence
+  round-trip EWMA.  The client tracks per-replica health (consecutive
+  failures) and **quarantines** a replica after repeated transport
+  failures — probing it again once the quarantine lapses, so a recovered
+  host rejoins the rotation without operator action.
 - **Keep-alive pooling** (``pool_size``): requests ride HTTP/1.1
-  keep-alive connections drawn from a bounded per-replica pool, retiring
-  the one-``Connection: close``-socket-per-chunk design; chunked
-  transfer-encoded responses are decoded, so real servers (nginx,
-  uvicorn) work unmodified.
+  keep-alive connections drawn from a bounded per-replica pool.  A
+  connection is pinned to the event loop that opened it, so reuse
+  happens only within one loop; chunked transfer-encoded responses are
+  decoded, so real servers (nginx, uvicorn) work unmodified.
 - **Compression** (``compression="gzip"``): request and response bodies
   are gzip-encoded end to end (the response side is negotiated via
   ``Accept-Encoding``, so it is strictly opt-in).  Base64 float64 states
@@ -34,15 +34,8 @@ Everything about the transport is configured through one typed object,
   documented :data:`FLOAT32_TOLERANCE` — the same opt-in tolerance-tier
   contract :data:`~repro.models.backends.padded.PADDED_TOLERANCE`
   established.  Requires ``exact=False``; exactness is a promise.
-- **Hedged requests** (``hedge_after``): when a chunk has been in flight
-  longer than the configured percentile of observed round trips, a
-  speculative copy is sent to a different replica.  The first valid
-  digest-echoed response wins; the loser is cancelled and its result is
-  **never** double-counted (exactly one decoded response is consumed per
-  chunk).  This bounds the tail a single slow host can impose on a sweep
-  ("The Tail at Scale" discipline).
 
-Protocol (one ``POST {url}/encode`` per shard)::
+Protocol (one ``POST {url}/encode`` per chunk)::
 
     request:  {"protocol": 2,
                "model": ModelConfig.to_jsonable(),
@@ -82,13 +75,8 @@ float64 results are **bit-identical** to :class:`LocalBackend`,
 tier within :data:`FLOAT32_TOLERANCE` — the loopback double
 (:mod:`repro.testing.encoder_service`) locks all three in.
 
-The backend also measures per-replica round-trip times and exposes
-:meth:`suggest_pipeline_chunk`, which the streaming executor consults so
-its chunk size adapts to the *fastest currently-healthy replica's*
-latency (amortizing per-request fixed cost on slow links) instead of
-assuming local BLAS costs.  All transport accounting lands in a
-:class:`TransportStats` — including a per-replica breakdown — that the
-sweep report surfaces.
+All transport accounting lands in a :class:`TransportStats` — including
+a per-replica breakdown — that the sweep report surfaces.
 """
 
 from __future__ import annotations
@@ -103,8 +91,7 @@ import os
 import random
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -116,8 +103,8 @@ from repro.models.backends.transport import TransportConfig
 from repro.models.token_array import TokenArray, TokenSequence, wire_to_jsonable
 from repro.telemetry import Counters
 
-#: Environment fallback for the replica URLs (CLI/RuntimeConfig take
-#: priority); comma-separated values configure a fleet.
+#: Environment fallback for the replica URLs when no TransportConfig is
+#: given; comma-separated values configure a fleet.
 REMOTE_URL_ENV = "REPRO_REMOTE_URL"
 
 #: Wire protocol version.  2 added ``state_dtype`` (and the ``dtype``
@@ -130,34 +117,20 @@ PROTOCOL_VERSION = 2
 #: downstream pooling.  Same opt-in contract as ``PADDED_TOLERANCE``.
 FLOAT32_TOLERANCE = 1e-6
 
-DEFAULT_TIMEOUT = 10.0
-DEFAULT_RETRIES = 3
 #: First backoff delay; doubles per retry up to the cap, ±50% jitter.
 DEFAULT_BACKOFF = 0.05
 BACKOFF_CAP = 2.0
-
-#: Chunk sizing: aim for chunks worth ~this much service time, stretched
-#: to at least LATENCY_AMORTIZATION round-trips' worth of work so fixed
-#: network latency never dominates a chunk.
-TARGET_CHUNK_SECONDS = 0.25
-LATENCY_AMORTIZATION = 4.0
-MAX_PIPELINE_CHUNK = 256
 
 #: Transport failures in a row before a replica is quarantined, and how
 #: long the quarantine lasts before the replica is probed again.
 QUARANTINE_AFTER = 3
 QUARANTINE_SECONDS = 5.0
 
-#: Fleet sharding never splits below this many sequences per shard — a
-#: shard must carry enough work to amortize its own round trip.
-MIN_SHARD_SEQUENCES = 8
 
-#: Hedging engages only after this many measured round trips (a
-#: percentile over fewer samples is noise), and never fires earlier than
-#: the floor (avoids hedging storms on sub-millisecond loopback links).
-MIN_HEDGE_SAMPLES = 4
-HEDGE_DELAY_FLOOR = 0.002
-RTT_WINDOW = 64
+def env_urls() -> Tuple[str, ...]:
+    """Replica URLs from ``$REPRO_REMOTE_URL`` (empty when unset)."""
+    env = os.environ.get(REMOTE_URL_ENV, "")
+    return tuple(u.strip() for u in env.split(",") if u.strip())
 
 
 class _TransientError(RemoteEncodeError):
@@ -169,9 +142,7 @@ class ReplicaStats(Counters):
     """Per-replica transport accounting (keyed by URL on the parent).
 
     ``requests`` counts attempts routed to the replica (including retried
-    and hedged ones); ``chunks`` only the round trips whose response was
-    actually consumed — a hedge loser's completed response increments
-    neither ``chunks`` nor the result set.
+    ones); ``chunks`` only the round trips whose response was consumed.
     """
 
     derived = ("mean_round_trip",)
@@ -179,7 +150,6 @@ class ReplicaStats(Counters):
     requests: int = 0
     chunks: int = 0
     errors: int = 0
-    hedges_won: int = 0
     quarantines: int = 0
     round_trip_seconds: float = 0.0
 
@@ -192,15 +162,15 @@ class ReplicaStats(Counters):
 class TransportStats(Counters):
     """Cumulative remote-transport accounting (thread-safe via the backend).
 
-    ``requests`` counts every attempt (including retried and hedged
-    ones); ``chunks`` only the round trips whose response was consumed.
+    ``requests`` counts every attempt (including retried ones); ``chunks``
+    only the round trips whose response was consumed.
     ``round_trip_seconds`` sums consumed round trips, so
     ``mean_round_trip`` is the per-chunk latency the report shows.
     ``bytes_sent``/``bytes_received`` measure **bytes on the wire**
-    (after compression), for every attempt that transferred them —
-    hedged duplicates really cross the network, so they count here even
-    though their responses never reach the results.  ``replicas`` breaks
-    routing down per replica URL.
+    (after compression), for every attempt that transferred them — a
+    failed attempt's bytes really cross the network, so they count here
+    even though its response never reaches the results.  ``replicas``
+    breaks routing down per replica URL.
     """
 
     derived = ("mean_round_trip",)
@@ -216,9 +186,6 @@ class TransportStats(Counters):
     bytes_received: int = 0
     connections_opened: int = 0
     connections_reused: int = 0
-    hedges: int = 0
-    hedges_won: int = 0
-    hedges_cancelled: int = 0
     quarantines: int = 0
     replicas: Dict[str, ReplicaStats] = dataclasses.field(default_factory=dict)
 
@@ -253,9 +220,7 @@ class _Replica:
     transports cannot migrate loops), so the pool tracks per-loop open
     counts and :meth:`acquire` only hands out idle connections belonging
     to the *running* loop.  The bound is ``pool_size`` open connections
-    per loop — the streaming executor drives everything through one
-    persistent :func:`~repro.runtime.pipeline.encode_loop`, so in
-    practice that is the per-replica fleet-wide bound.
+    per loop.
     """
 
     def __init__(self, url: str, index: int, pool_size: int):
@@ -275,7 +240,6 @@ class _Replica:
         self.consecutive_failures = 0
         self.quarantined_until = 0.0  # time.monotonic deadline; 0 = healthy
         self.per_seq_ewma: Optional[float] = None
-        self.min_rtt: Optional[float] = None
 
     # -- connection pool ----------------------------------------------
 
@@ -379,13 +343,13 @@ class _Replica:
             self.consecutive_failures = 0
             self.quarantined_until = 0.0
 
-    def note_failure(self, quarantine_after: int, quarantine_seconds: float) -> bool:
+    def note_failure(self, quarantine_seconds: float) -> bool:
         """Record a transport failure; True when it tripped a quarantine."""
         with self.lock:
             self.consecutive_failures += 1
             now = time.monotonic()
             if (
-                self.consecutive_failures >= quarantine_after
+                self.consecutive_failures >= QUARANTINE_AFTER
                 and now >= self.quarantined_until
             ):
                 self.quarantined_until = now + quarantine_seconds
@@ -400,36 +364,27 @@ class _Replica:
                 self.per_seq_ewma = per_seq
             else:
                 self.per_seq_ewma = 0.7 * self.per_seq_ewma + 0.3 * per_seq
-            self.min_rtt = rtt if self.min_rtt is None else min(self.min_rtt, rtt)
 
 
 class RemoteBackend(EncoderBackend):
     """Ship token sequences to a fleet of HTTP encoding replicas.
 
     All transport behavior lives on a
-    :class:`~repro.models.backends.transport.TransportConfig`; the flat
-    ``url``/``timeout``/``retries``/... keyword arguments remain as a
-    convenience that builds a single-replica config (so
-    ``RemoteBackend("http://host:8077")`` keeps working).
+    :class:`~repro.models.backends.transport.TransportConfig`.
 
     Args:
-        url: a service base URL (``http://host:port``), or a full
-            :class:`TransportConfig`; falls back to the
-            ``REPRO_REMOTE_URL`` environment variable (comma-separated
-            URLs configure a fleet).
-        config: explicit :class:`TransportConfig`; mutually exclusive
-            with ``url`` and the flat transport kwargs.
-        timeout / retries / compression / state_dtype / hedge_after /
-            pool_size: single-replica conveniences mapped onto a
-            :class:`TransportConfig` (``None`` = that field's default).
+        config: the fleet's :class:`TransportConfig`; ``None`` reads the
+            replica URLs from the ``REPRO_REMOTE_URL`` environment
+            variable (comma-separated URLs configure a fleet) and keeps
+            every other transport default.
         exact: request bit-exact same-length batching on the service
             (``mode="exact"``); ``False`` requests padded tolerance
             tiers.  The backend's *overall* exactness contract also
             requires ``state_dtype="float64"``.
         padding_tier: tier width the service pads within when non-exact.
-        backoff_base / backoff_cap: exponential-backoff envelope.
-        quarantine_after / quarantine_seconds: failure streak that
-            quarantines a replica, and for how long.
+        backoff_base: first retry's backoff delay (tests shrink it).
+        quarantine_seconds: how long a replica stays quarantined after
+            :data:`QUARANTINE_AFTER` failures in a row (tests shrink it).
         rng: jitter source (tests inject a seeded one).
     """
 
@@ -438,64 +393,31 @@ class RemoteBackend(EncoderBackend):
 
     def __init__(
         self,
-        url: Optional[object] = None,
-        *,
         config: Optional[TransportConfig] = None,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        compression: Optional[str] = None,
-        state_dtype: Optional[str] = None,
-        hedge_after: Optional[float] = None,
-        pool_size: Optional[int] = None,
+        *,
         exact: bool = True,
         padding_tier: int = DEFAULT_TIER_WIDTH,
         backoff_base: float = DEFAULT_BACKOFF,
-        backoff_cap: float = BACKOFF_CAP,
-        target_chunk_seconds: float = TARGET_CHUNK_SECONDS,
-        quarantine_after: int = QUARANTINE_AFTER,
         quarantine_seconds: float = QUARANTINE_SECONDS,
         rng: Optional[random.Random] = None,
     ):
-        if isinstance(url, TransportConfig):
-            if config is not None:
-                raise ModelError("pass one TransportConfig, not two")
-            config, url = url, None
-        if config is not None:
-            flat = (url, timeout, retries, compression, state_dtype, hedge_after, pool_size)
-            if any(v is not None for v in flat):
-                raise ModelError(
-                    "transport options belong on the TransportConfig; do not "
-                    "pass url/timeout/retries/... alongside config="
-                )
-        else:
-            urls: Tuple[str, ...]
-            if url:
-                urls = (str(url),)
-            else:
-                env = os.environ.get(REMOTE_URL_ENV, "")
-                urls = tuple(u.strip() for u in env.split(",") if u.strip())
+        if config is None:
+            urls = env_urls()
             if not urls:
                 raise ModelError(
-                    "remote backend needs a service URL: pass url= or a "
+                    "remote backend needs a service URL: pass a "
                     "TransportConfig, use RuntimeConfig(transport=...), or "
                     f"set ${REMOTE_URL_ENV}"
                 )
             try:
-                config = TransportConfig(
-                    urls=urls,
-                    timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
-                    retries=DEFAULT_RETRIES if retries is None else retries,
-                    compression=compression or "none",
-                    state_dtype=state_dtype or "float64",
-                    hedge_after=hedge_after,
-                    pool_size=pool_size or 4,
-                )
+                config = TransportConfig(urls=urls)
             except ValueError as error:
                 raise ModelError(str(error)) from None
+        elif not isinstance(config, TransportConfig):
+            raise ModelError(
+                f"config must be a TransportConfig, got {type(config).__name__}"
+            )
         self.config = config
-        self.url = config.urls[0]  # compat: the (first) replica URL
-        self.timeout = config.timeout
-        self.retries = config.retries
         #: Batching mode requested of the service ("exact" = same-length
         #: batching, bit-identical on the service side).
         self.exact_mode = bool(exact)
@@ -510,9 +432,6 @@ class RemoteBackend(EncoderBackend):
         self.tolerance = tolerance if tolerance else None
         self.padding_tier = padding_tier
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.target_chunk_seconds = target_chunk_seconds
-        self.quarantine_after = quarantine_after
         self.quarantine_seconds = quarantine_seconds
         self._rng = rng or random.Random()
         self._deadline = None  # optional live sweep budget; see set_deadline
@@ -521,9 +440,6 @@ class RemoteBackend(EncoderBackend):
         self._replicas = [
             _Replica(u, i, config.pool_size) for i, u in enumerate(config.urls)
         ]
-        # Fleet-wide window of consumed round trips — the hedge delay is
-        # a percentile over it.
-        self._rtt_samples: Deque[float] = deque(maxlen=RTT_WINDOW)
 
     # -- description / policy -----------------------------------------
 
@@ -540,8 +456,8 @@ class RemoteBackend(EncoderBackend):
     def _request_timeout(self) -> float:
         """The per-attempt timeout, capped by any live deadline."""
         if self._deadline is None:
-            return self.timeout
-        return max(0.001, self._deadline.bound(self.timeout))
+            return self.config.timeout
+        return max(0.001, self._deadline.bound(self.config.timeout))
 
     @property
     def cache_namespace(self) -> str:
@@ -566,7 +482,7 @@ class RemoteBackend(EncoderBackend):
             else f"padded tier={self.padding_tier} tol={PADDED_TOLERANCE:g}"
         )
         detail = self.config.describe()
-        target = self.url if len(self.config.urls) == 1 else "fleet"
+        target = self.config.urls[0] if len(self.config.urls) == 1 else "fleet"
         return f"{self.name} ({mode}, {detail}, {target})"
 
     def stats_snapshot(self) -> TransportStats:
@@ -579,44 +495,6 @@ class RemoteBackend(EncoderBackend):
         for replica in self._replicas:
             replica.close_all()
 
-    # -- latency-aware chunk sizing ------------------------------------
-
-    def suggest_pipeline_chunk(self, default: int) -> int:
-        """Sequences per streaming-executor chunk, from measured RTTs.
-
-        Each chunk is one HTTP round trip (possibly sharded across
-        replicas), so the right size balances two pressures: chunks must
-        be *long* enough that fixed network latency is amortized (>=
-        ``LATENCY_AMORTIZATION`` × the observed RTT floor of useful work)
-        and *short* enough that the pipeline still overlaps serialization
-        with in-flight encodes.  The estimate follows the **fastest
-        currently-healthy replica** — the one routing favors — rather
-        than a fleet-global EWMA a straggler would poison.  Until a round
-        trip has been measured the executor's own default stands.
-        """
-        now = time.monotonic()
-        best: Optional[Tuple[float, Optional[float]]] = None
-        fallback: Optional[Tuple[float, Optional[float]]] = None
-        for replica in self._replicas:
-            with replica.lock:
-                ewma, min_rtt = replica.per_seq_ewma, replica.min_rtt
-                quarantined = now < replica.quarantined_until
-            if ewma is None or ewma <= 0:
-                continue
-            candidate = (ewma, min_rtt)
-            if fallback is None or ewma < fallback[0]:
-                fallback = candidate
-            if not quarantined and (best is None or ewma < best[0]):
-                best = candidate
-        chosen = best or fallback
-        if chosen is None:
-            return default
-        per_seq, min_rtt = chosen
-        target = max(
-            self.target_chunk_seconds, LATENCY_AMORTIZATION * (min_rtt or 0.0)
-        )
-        return max(1, min(MAX_PIPELINE_CHUNK, int(target / per_seq)))
-
     # -- encoding ------------------------------------------------------
 
     def encode_batch(
@@ -624,11 +502,11 @@ class RemoteBackend(EncoderBackend):
     ) -> List[np.ndarray]:
         """Synchronous facade over :meth:`aencode_batch`.
 
-        ``asyncio.run`` builds a fresh event loop per call, so pooled
-        connections opened here are released before the loop closes —
-        keep-alive reuse materializes *within* one call (retries, hedges,
-        shards) and, in production, across the streaming executor's
-        persistent encode loop.
+        ``asyncio.run`` builds a fresh event loop per call, and the pool
+        drops this loop's connections before it closes: keep-alive reuse
+        happens *within* one call (a retry on the same replica), and
+        across calls only on a persistent loop such as the streaming
+        executor's encode loop.
         """
 
         async def run() -> List[np.ndarray]:
@@ -646,12 +524,16 @@ class RemoteBackend(EncoderBackend):
     async def aencode_batch(
         self, encoder, token_lists: Sequence[TokenSequence], batch_size: int = 8
     ) -> List[np.ndarray]:
-        """Encode one chunk over the fleet; results in input order.
+        """Encode one chunk on one replica; results in input order.
 
         Empty sequences are answered locally (their embedding is the
         empty ``[0, dim]`` array by definition — no forward pass exists
-        to farm out); everything else is split into per-replica shards
-        weighted by measured speed and shipped concurrently.
+        to farm out); everything else ships whole, in one request, to the
+        replica :meth:`_pick_replica` favors.
+
+        Pooled connections are pinned to the event loop that opened them:
+        a caller driving this on its own loop calls :meth:`close` before
+        that loop ends, or the idle sockets outlive it.
         """
         dim = encoder.config.dim
         results: List[Optional[np.ndarray]] = [None] * len(token_lists)
@@ -664,34 +546,7 @@ class RemoteBackend(EncoderBackend):
                 results[i] = np.zeros((0, dim), dtype=np.float64)
         if not pending:
             return results
-        shards = self._plan_shards(pending)
-        if len(shards) == 1:
-            replica, shard = shards[0]
-            await self._encode_shard(encoder, replica, shard, batch_size, results, dim)
-            return results
-        outcomes = await asyncio.gather(
-            *(
-                self._encode_shard(encoder, replica, shard, batch_size, results, dim)
-                for replica, shard in shards
-            ),
-            return_exceptions=True,
-        )
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return results
-
-    async def _encode_shard(
-        self,
-        encoder,
-        replica: _Replica,
-        shard: List[Tuple[int, TokenArray]],
-        batch_size: int,
-        results: List[Optional[np.ndarray]],
-        dim: int,
-    ) -> None:
-        """Ship one shard (preferring ``replica``) and scatter its states."""
-        wires = [ta.to_wire() for _, ta in shard]
+        wires = [ta.to_wire() for _, ta in pending]
         digests = [str(w["digest"]) for w in wires]
         body = json.dumps(
             {
@@ -706,13 +561,14 @@ class RemoteBackend(EncoderBackend):
         ).encode("utf-8")
         if self.config.compression == "gzip":
             body = gzip.compress(body, compresslevel=6)
-        response = await self._send_shard(body, len(shard), replica)
-        lengths = [len(ta) for _, ta in shard]
+        response = await self._send_chunk(body, len(pending))
+        lengths = [len(ta) for _, ta in pending]
         states = _reassemble_states(
             response, digests, lengths, dim, self.config.state_dtype
         )
-        for (i, _), state in zip(shard, states):
+        for (i, _), state in zip(pending, states):
             results[i] = state
+        return results
 
     # -- routing -------------------------------------------------------
 
@@ -742,55 +598,14 @@ class RemoteBackend(EncoderBackend):
 
         return min(healthy, key=score)
 
-    def _plan_shards(
-        self, pending: List[Tuple[int, TokenArray]]
-    ) -> List[Tuple[_Replica, List[Tuple[int, TokenArray]]]]:
-        """Split a chunk into per-replica shards weighted by speed.
-
-        Fast replicas take proportionally more sequences (weight =
-        1 / per-sequence EWMA; unmeasured replicas borrow the fastest
-        known weight so they get explored).  Shards never shrink below
-        :data:`MIN_SHARD_SEQUENCES`, and a single replica — or a chunk
-        too small to split — degrades to the single-request path.
-        """
-        n = len(pending)
-        now = time.monotonic()
-        healthy = [r for r in self._replicas if r.available(now)]
-        if not healthy:
-            healthy = [self._pick_replica()]
-        max_shards = min(len(healthy), max(1, n // MIN_SHARD_SEQUENCES))
-        if max_shards <= 1:
-            return [(self._pick_replica(), pending)]
-        ewmas = []
-        for replica in healthy:
-            with replica.lock:
-                ewmas.append(replica.per_seq_ewma)
-        known = [e for e in ewmas if e]
-        fastest = min(known) if known else 1.0
-        weights = [1.0 / (e if e else fastest) for e in ewmas]
-        ranked = sorted(range(len(healthy)), key=lambda i: (-weights[i], i))
-        chosen = ranked[:max_shards]
-        sizes = _proportional_sizes(
-            n, [weights[i] for i in chosen], MIN_SHARD_SEQUENCES
-        )
-        shards: List[Tuple[_Replica, List[Tuple[int, TokenArray]]]] = []
-        start = 0
-        for rank, size in zip(chosen, sizes):
-            if size <= 0:
-                continue
-            shards.append((healthy[rank], pending[start : start + size]))
-            start += size
-        return shards
-
     # -- transport -----------------------------------------------------
 
-    async def _send_shard(
-        self, body: bytes, n_sequences: int, preferred: _Replica
-    ) -> Dict[str, object]:
-        """One shard's request with retry, rerouting, and hedging."""
+    async def _send_chunk(self, body: bytes, n_sequences: int) -> Dict[str, object]:
+        """One chunk's request with retry and rerouting."""
         last_error: Optional[Exception] = None
         failed: Optional[_Replica] = None
-        for attempt in range(self.retries + 1):
+        retries = self.config.retries
+        for attempt in range(retries + 1):
             if attempt:
                 if self._deadline is not None and self._deadline.expired():
                     # The sweep's budget outranks the retry budget: stop
@@ -801,77 +616,30 @@ class RemoteBackend(EncoderBackend):
                     ) from last_error
                 with self._stats_lock:
                     self.stats.retries += 1
-                delay = min(
-                    self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))
-                )
+                delay = min(BACKOFF_CAP, self.backoff_base * (2 ** (attempt - 1)))
                 # Full jitter in [0.5, 1.5) x delay decorrelates clients
                 # hammering a recovering service in lockstep.
                 delay *= 0.5 + self._rng.random()
                 if self._deadline is not None:
                     delay = self._deadline.bound(delay)
                 await asyncio.sleep(delay)
-            if attempt == 0:
-                replica = preferred
-            else:
-                # Reroute the retry away from the replica that just
-                # failed when an alternative exists.
-                replica = self._pick_replica(
-                    exclude=(failed,) if failed is not None else ()
-                )
+            # A retry reroutes away from the replica that just failed when
+            # an alternative exists.
+            replica = self._pick_replica(
+                exclude=(failed,) if failed is not None else ()
+            )
             try:
-                decoded, rtt, winner = await self._hedged_attempt(replica, body)
+                decoded, rtt = await self._attempt_on(replica, body)
             except _TransientError as error:
                 last_error = error
                 failed = replica
                 continue
-            self._record_chunk(winner, rtt, n_sequences)
+            self._record_chunk(replica, rtt, n_sequences)
             return decoded
         raise RemoteEncodeError(
-            f"remote encode failed after {self.retries + 1} attempt(s) "
+            f"remote encode failed after {retries + 1} attempt(s) "
             f"across {len(self._replicas)} replica(s): {last_error}"
         ) from last_error
-
-    async def _hedged_attempt(
-        self, primary: _Replica, body: bytes
-    ) -> Tuple[Dict[str, object], float, _Replica]:
-        """One attempt, speculatively duplicated when the primary lags.
-
-        The hedge fires after the configured latency percentile of
-        observed round trips; the first task to return an HTTP-200,
-        JSON-decodable response wins and the loser is cancelled, so
-        exactly one response is ever consumed and hedge results cannot
-        be double-counted.  Payload *integrity* (digest echo, state
-        shape) is verified only later, on the winner, in
-        ``_reassemble_states`` — a decodable-but-corrupt winner fails
-        the chunk even if the cancelled loser held a valid payload, and
-        a fatal error on the losing attempt is not surfaced when the
-        other attempt succeeds.
-        """
-        delay = self._hedge_delay()
-        primary_task = asyncio.ensure_future(self._attempt_on(primary, body))
-        if delay is None:
-            decoded, rtt = await primary_task
-            return decoded, rtt, primary
-        done, _ = await asyncio.wait({primary_task}, timeout=delay)
-        if primary_task in done:
-            decoded, rtt = primary_task.result()
-            return decoded, rtt, primary
-        alternate = self._pick_replica(exclude=(primary,))
-        if alternate is primary:
-            decoded, rtt = await primary_task
-            return decoded, rtt, primary
-        with self._stats_lock:
-            self.stats.hedges += 1
-        hedge_task = asyncio.ensure_future(self._attempt_on(alternate, body))
-        owners = {primary_task: primary, hedge_task: alternate}
-        winner, cancelled = await _race(list(owners))
-        with self._stats_lock:
-            self.stats.hedges_cancelled += cancelled
-            if winner is hedge_task:
-                self.stats.hedges_won += 1
-                self._replica_stats_locked(alternate).hedges_won += 1
-        decoded, rtt = winner.result()
-        return decoded, rtt, owners[winner]
 
     async def _attempt_on(
         self, replica: _Replica, body: bytes
@@ -880,8 +648,9 @@ class RemoteBackend(EncoderBackend):
 
         Raises :class:`_TransientError` for faults the retry loop may
         re-attempt, plain :class:`RemoteEncodeError` for fatal ones.
-        Cancellation (a lost hedge race) tears the in-flight connection
-        down — a half-read socket must never return to the pool.
+        Cancellation (a request deadline, an abandoned chunk) tears the
+        in-flight connection down — a half-read socket must never return
+        to the pool.
         """
         with self._stats_lock:
             self.stats.requests += 1
@@ -1050,7 +819,7 @@ class RemoteBackend(EncoderBackend):
     def _note_failure(
         self, replica: _Replica, *, timeout: bool = False, http_error: bool = False
     ) -> None:
-        tripped = replica.note_failure(self.quarantine_after, self.quarantine_seconds)
+        tripped = replica.note_failure(self.quarantine_seconds)
         with self._stats_lock:
             if timeout:
                 self.stats.timeouts += 1
@@ -1071,64 +840,7 @@ class RemoteBackend(EncoderBackend):
             rs = self._replica_stats_locked(replica)
             rs.chunks += 1
             rs.round_trip_seconds += rtt
-            self._rtt_samples.append(rtt)
         replica.note_rtt(rtt, n_sequences)
-
-    def _hedge_delay(self) -> Optional[float]:
-        """Seconds before a hedge fires, or ``None`` when hedging is off.
-
-        The delay is the configured percentile of the recent consumed
-        round trips, floored so sub-millisecond loopback links do not
-        hedge every request.  Hedging needs at least two replicas and
-        :data:`MIN_HEDGE_SAMPLES` measurements to engage.
-        """
-        if self.config.hedge_after is None or len(self._replicas) < 2:
-            return None
-        with self._stats_lock:
-            samples = sorted(self._rtt_samples)
-        if len(samples) < MIN_HEDGE_SAMPLES:
-            return None
-        k = min(len(samples) - 1, int(self.config.hedge_after * len(samples)))
-        return max(HEDGE_DELAY_FLOOR, samples[k])
-
-
-async def _race(tasks: List["asyncio.Task"]) -> Tuple["asyncio.Task", int]:
-    """First task to *succeed* wins; losers are cancelled and reaped.
-
-    Returns ``(winner, n_cancelled)``.  When every task fails, the first
-    failure is re-raised (hedging must not mask the primary's error
-    class).  Losers are awaited after cancellation so their cleanup —
-    tearing down half-read connections — finishes before the caller
-    proceeds.
-    """
-    pending = set(tasks)
-    winner: Optional[asyncio.Task] = None
-    first_error: Optional[BaseException] = None
-    while pending and winner is None:
-        done, pending = await asyncio.wait(
-            pending, return_when=asyncio.FIRST_COMPLETED
-        )
-        for task in done:
-            if task.cancelled():
-                continue
-            if task.exception() is None:
-                winner = task
-                break
-            if first_error is None:
-                first_error = task.exception()
-    if winner is None:
-        assert first_error is not None
-        raise first_error
-    cancelled = 0
-    losers = [t for t in tasks if t is not winner]
-    for loser in losers:
-        if not loser.done():
-            loser.cancel()
-            cancelled += 1
-    if losers:
-        await asyncio.gather(*losers, return_exceptions=True)
-    return winner, cancelled
-
 
 async def _read_chunked(reader: "asyncio.StreamReader") -> Tuple[bytes, int]:
     """Decode a chunked transfer-encoded body (trailers discarded).
@@ -1158,27 +870,6 @@ async def _read_chunked(reader: "asyncio.StreamReader") -> Tuple[bytes, int]:
         parts.append(await reader.readexactly(size))
         await reader.readexactly(2)  # chunk-terminating CRLF
         wire += size + 2
-
-
-def _proportional_sizes(n: int, weights: List[float], min_size: int) -> List[int]:
-    """Split ``n`` items proportionally to ``weights`` with a floor.
-
-    The caller guarantees ``len(weights) * min_size <= n``, so drift from
-    rounding can always be settled against shares above the floor.
-    """
-    total = sum(weights) or float(len(weights))
-    sizes = [max(min_size, int(round(n * w / total))) for w in weights]
-    drift = n - sum(sizes)
-    order = sorted(range(len(sizes)), key=lambda j: -sizes[j])
-    i = 0
-    while drift != 0:
-        j = order[i % len(order)]
-        step = 1 if drift > 0 else -1
-        if sizes[j] + step >= min_size:
-            sizes[j] += step
-            drift -= step
-        i += 1
-    return sizes
 
 
 def _reassemble_states(

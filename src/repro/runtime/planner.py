@@ -113,11 +113,9 @@ class RuntimeConfig:
             padded mode).
         transport: the remote encoder fleet's
             :class:`~repro.models.backends.TransportConfig` — replica
-            URLs, timeout/retries, compression, state dtype, hedging, and
-            pool size in one typed object (``backend="remote"``).  A
-            plain dict in :meth:`TransportConfig.to_jsonable` form is
-            accepted and coerced.  ``None`` with ``backend="remote"``
-            falls back to ``$REPRO_REMOTE_URL``.
+            URLs, timeout/retries, compression, state dtype, and pool
+            size in one typed object (``backend="remote"``).  ``None``
+            with ``backend="remote"`` falls back to ``$REPRO_REMOTE_URL``.
         async_encode: stream encoder batches through the background
             asyncio encode loop so serialization/fingerprinting of the
             next chunk overlaps the current chunk's forward passes.
@@ -161,10 +159,9 @@ class RuntimeConfig:
         if self.padding_tier < 1:
             raise ValueError("padding_tier must be positive")
         if self.transport is not None and not isinstance(self.transport, TransportConfig):
-            # Accept the canonical JSON form (process-shard payloads,
-            # config files) and coerce — from_jsonable re-validates.
-            object.__setattr__(
-                self, "transport", TransportConfig.from_jsonable(self.transport)
+            raise ValueError(
+                "transport must be a TransportConfig or None, "
+                f"got {type(self.transport).__name__}"
             )
         if self.backend is not None:
             if self.backend not in available_backends():
@@ -545,14 +542,6 @@ class EmbeddingExecutor:
             return None
         timings = telemetry.current()
         loop = encode_loop()
-        # Latency-aware chunk sizing: a backend that measures round trips
-        # (the remote transport) suggests how many sequences one in-flight
-        # chunk should carry — big enough to amortize network latency,
-        # small enough to keep the pipeline overlapping.  Local backends
-        # expose no sizer and the static default stands.
-        sizer = getattr(
-            getattr(encoder, "backend", None), "suggest_pipeline_chunk", None
-        )
         out: List[Dict[EmbeddingLevel, np.ndarray]] = []
         prev: Optional[Tuple[object, object]] = None  # (plan, future)
 
@@ -566,15 +555,8 @@ class EmbeddingExecutor:
 
         start = 0
         while start < len(tables):
-            chunk_size = self.pipeline_chunk
-            if sizer is not None:
-                # Re-consulted per chunk so the size adapts within one
-                # plan as round-trip measurements accumulate.
-                chunk_size = max(1, int(sizer(self.pipeline_chunk)))
-            plan = serialize(
-                tables[start : start + chunk_size],
-                levels_list[start : start + chunk_size],
-            )
+            end = start + self.pipeline_chunk
+            plan = serialize(tables[start:end], levels_list[start:end])
             if plan is None:
                 # No shared encoder pass for this model; first chunk, so
                 # nothing is in flight yet — let the sync path handle all.
@@ -585,7 +567,7 @@ class EmbeddingExecutor:
             if prev is not None:
                 collect(*prev)  # aggregate k-1 while k encodes
             prev = (plan, future)
-            start += chunk_size
+            start = end
         if prev is not None:
             collect(*prev)
         return out

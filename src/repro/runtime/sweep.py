@@ -691,13 +691,22 @@ def _dispatch_sweep(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(attempt, c) for c in todo]
+            finished = set()
             try:
                 for future in as_completed(futures):
-                    finish(future.result())
+                    outcome = future.result()
+                    finished.add(future)
+                    finish(outcome)
             except BaseException:
-                # Abort: cells not yet started never start; the block's
-                # exit still waits for the ones already running.
+                # Abort: cells not yet started never start, and the ones
+                # already running are waited for.  Those that succeed are
+                # journaled too, so a resume does not compute them again.
                 pool.shutdown(cancel_futures=True)
+                for future in futures:
+                    if future in finished or future.cancelled():
+                        continue
+                    if future.exception() is None:
+                        finish(future.result())
                 raise
     cells.extend(replayed_cells)
     cells.sort(key=rank)

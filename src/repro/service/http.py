@@ -7,7 +7,7 @@ bodies and JSON payloads, hardened for the realities the loopback fault
 suite exercises — bodies drained before dispatch (an unread body under
 keep-alive would be parsed as the next request's start line), short
 writes on purpose (the ``torn`` fault), clients that vanish mid-response
-(cancelled hedge losers).  Both the loopback encoder double and the
+(an expired request deadline).  Both the loopback encoder double and the
 always-on characterization service (:mod:`repro.service.app`) are built
 on it, so there is exactly one server implementation to harden.
 
@@ -202,9 +202,9 @@ class _PlaneHandler(BaseHTTPRequestHandler):
         try:
             self._send(request, response)
         except (BrokenPipeError, ConnectionResetError):
-            # The client is gone — a cancelled hedge loser, an expired
-            # deadline, or a disconnected stream consumer.  Expected
-            # under fleet scheduling and live streaming, not an error.
+            # The client is gone — an expired request deadline or a
+            # disconnected stream consumer.  Expected under fleet
+            # timeouts and live streaming, not an error.
             self.close_connection = True
 
     def _send(self, request: WireRequest, response: WireResponse) -> None:

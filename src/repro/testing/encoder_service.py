@@ -40,12 +40,12 @@ FIFO by subsequent requests —
   acceptance).
 
 A persistent per-replica slowness (``delay=``) makes one fleet member a
-straggler, which is what hedging tests need.
+straggler, which is what routing tests need.
 
 :class:`FleetHarness` stands up N replicas behind one context manager::
 
     with FleetHarness(3, slow_index=2, slow_delay=0.2) as fleet:
-        backend = RemoteBackend(config=TransportConfig(urls=fleet.urls))
+        backend = RemoteBackend(TransportConfig(urls=fleet.urls))
         ...
 
 Run standalone for manual poking::
@@ -84,12 +84,12 @@ class LoopbackEncoderService:
     Usable as a context manager::
 
         with LoopbackEncoderService() as service:
-            backend = RemoteBackend(service.url)
+            backend = RemoteBackend(TransportConfig(urls=service.url))
             ...
 
     Args:
         delay: seconds slept before answering *every* request — a
-            persistent straggler knob for fleet/hedging tests (one-shot
+            persistent straggler knob for fleet routing tests (one-shot
             ``inject("timeout")`` faults stack on top).
 
     Attributes:
@@ -177,8 +177,7 @@ class FleetHarness:
 
         with FleetHarness(3, slow_index=2, slow_delay=0.25) as fleet:
             fleet.inject(1, "http_500")       # one-shot, replica 1
-            config = TransportConfig(urls=fleet.urls, hedge_after=0.9)
-            backend = RemoteBackend(config=config)
+            backend = RemoteBackend(TransportConfig(urls=fleet.urls))
 
     Attributes:
         replicas: the live :class:`LoopbackEncoderService` instances.

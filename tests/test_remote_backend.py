@@ -1,6 +1,6 @@
 """Remote encoder backend against the loopback service double.
 
-Locks in the transport's three contracts:
+Locks in the transport's four contracts:
 
 1. **Numerics across the wire** — for every model family, loopback-remote
    results are *bit-identical* to the in-process local backend in exact
@@ -14,14 +14,18 @@ Locks in the transport's three contracts:
    acceptance.
 3. **Wiring** — registry/RuntimeConfig/executor integration: the remote
    backend registers as ``"remote"``, demands a URL at configuration
-   time, isolates its embedding-cache namespace, and feeds the streaming
-   executor a latency-aware chunk size.
+   time, and isolates its embedding-cache namespace.
+4. **Fleet** — each chunk goes whole to the replica latency routing
+   favors, and a failing replica is quarantined after a bounded number of
+   retries.
 
 Plus a Hypothesis round trip of the JSON wire encoding (unicode pieces,
 empty sequences, single-token arrays).
 """
 
+import asyncio
 import json
+import pickle
 import random
 import time
 
@@ -43,6 +47,7 @@ from repro.models.backends import (
     available_backends,
     max_relative_error,
 )
+from repro.models.backends.remote import QUARANTINE_AFTER
 from repro.models.config import Serialization
 from repro.models.registry import load_model
 from repro.models.token_array import (
@@ -66,13 +71,12 @@ def service():
         yield svc
 
 
-def fast_remote(svc, **kwargs) -> RemoteBackend:
+def fast_remote(svc, *, timeout=10.0, retries=2, **kwargs) -> RemoteBackend:
     """A remote backend tuned for tests: tiny backoff, seeded jitter."""
-    kwargs.setdefault("timeout", 10.0)
-    kwargs.setdefault("retries", 2)
     kwargs.setdefault("backoff_base", 0.01)
     kwargs.setdefault("rng", random.Random(7))
-    return RemoteBackend(svc.url, **kwargs)
+    config = TransportConfig(urls=(svc.url,), timeout=timeout, retries=retries)
+    return RemoteBackend(config, **kwargs)
 
 
 def small_tables(n=4):
@@ -137,13 +141,18 @@ class TestLoopbackNumerics:
         assert states[1].shape[0] == len(token_lists[1])
 
     def test_async_entry_point_matches_sync(self, service):
-        import asyncio
-
         model = cached_model("bert")
         token_lists = token_lists_for(model, small_tables())
         backend = fast_remote(service)
         sync = backend.encode_batch(model.encoder, token_lists, 4)
-        afresh = asyncio.run(backend.aencode_batch(model.encoder, token_lists, 4))
+
+        async def run():
+            try:
+                return await backend.aencode_batch(model.encoder, token_lists, 4)
+            finally:
+                backend.close()  # pooled sockets must not outlive this loop
+
+        afresh = asyncio.run(run())
         for a, b in zip(sync, afresh):
             assert np.array_equal(a, b)
 
@@ -214,7 +223,8 @@ class TestFaultInjection:
         model = cached_model("bert")
         token_lists = token_lists_for(model, small_tables(1))
         backend = RemoteBackend(
-            "http://127.0.0.1:9", timeout=0.5, retries=1, backoff_base=0.001
+            TransportConfig(urls="http://127.0.0.1:9", timeout=0.5, retries=1),
+            backoff_base=0.001,
         )
         with pytest.raises(RemoteEncodeError):
             backend.encode_batch(model.encoder, token_lists, 4)
@@ -354,7 +364,7 @@ class TestConfigWiring:
         monkeypatch.setenv("REPRO_REMOTE_URL", service.url)
         backend = RuntimeConfig(backend="remote").build_backend()
         assert isinstance(backend, RemoteBackend)
-        assert backend.url == service.url
+        assert backend.config.urls == (service.url,)
 
     def test_padded_mode_derives_from_exact(self, service):
         cfg = RuntimeConfig(
@@ -373,8 +383,6 @@ class TestConfigWiring:
             TransportConfig(urls=(service.url,), timeout=0.0)
         with pytest.raises(ValueError):
             TransportConfig(urls=(service.url,), pool_size=0)
-        with pytest.raises(ValueError):
-            TransportConfig(urls=(service.url,), hedge_after=1.0)
         with pytest.raises(ValueError):
             TransportConfig(urls=(service.url, service.url))  # duplicates
         with pytest.raises(ValueError):
@@ -426,11 +434,13 @@ class TestConfigWiring:
         with pytest.raises(ValueError, match="protocol mismatch"):
             EncoderPool().encode_request({"protocol": 1, "sequences": []})
 
-    def test_bad_urls_rejected(self):
-        with pytest.raises(ModelError):
-            RemoteBackend("https://secure.example")  # only http is spoken
-        with pytest.raises(ModelError):
-            RemoteBackend("not a url")
+    def test_bad_urls_rejected(self, monkeypatch):
+        for bad in ("https://secure.example", "not a url"):  # only http is spoken
+            monkeypatch.setenv("REPRO_REMOTE_URL", bad)
+            with pytest.raises(ModelError):
+                RemoteBackend()
+        with pytest.raises(ModelError, match="TransportConfig"):
+            RemoteBackend("http://a:1")  # URLs travel on a TransportConfig
 
     def test_cache_namespace_isolated(self, service):
         model = load_model("bert")
@@ -440,38 +450,6 @@ class TestConfigWiring:
         assert EmbeddingExecutor(model)._cache_space == "bert|remote+padded"
         model.set_backend(LocalBackend())
         assert EmbeddingExecutor(model)._cache_space == "bert"
-
-
-class TestChunkSizer:
-    def test_default_until_first_round_trip(self, service):
-        backend = fast_remote(service)
-        assert backend.suggest_pipeline_chunk(8) == 8
-
-    def test_suggestion_bounded_after_measurements(self, service):
-        model = cached_model("bert")
-        token_lists = token_lists_for(model, small_tables())
-        backend = fast_remote(service)
-        backend.encode_batch(model.encoder, token_lists, 4)
-        suggestion = backend.suggest_pipeline_chunk(8)
-        assert 1 <= suggestion <= 256
-
-    def test_slow_link_amortizes_latency(self, service):
-        backend = fast_remote(service)
-        # Synthetic measurements: 0.5s round trips carrying 4 sequences
-        # — the sizer must stretch chunks to amortize the latency floor.
-        for _ in range(3):
-            backend._record_chunk(backend._replicas[0], 0.5, 4)
-        assert backend.suggest_pipeline_chunk(8) > 8
-
-    def test_sizer_follows_fastest_healthy_replica(self):
-        with FleetHarness(2) as fleet:
-            backend = RemoteBackend(config=TransportConfig(urls=fleet.urls))
-            slow, fast = backend._replicas
-            backend._record_chunk(slow, 2.0, 4)   # 0.5 s/seq straggler
-            backend._record_chunk(fast, 0.04, 4)  # 10 ms/seq healthy peer
-            # The suggestion must track the fast replica (the one routing
-            # favors), not a fleet average the straggler poisons.
-            assert backend.suggest_pipeline_chunk(8) >= 16
 
 
 class TestTransportStats:
@@ -493,7 +471,7 @@ class TestTransportStats:
     def test_replica_breakdown_merges_and_subtracts(self):
         a = TransportStats(
             chunks=2,
-            hedges=1,
+            retries=1,
             replicas={"http://a:1": ReplicaStats(requests=2, chunks=2,
                                                  round_trip_seconds=1.0)},
         )
@@ -502,15 +480,14 @@ class TestTransportStats:
             quarantines=1,
             replicas={
                 "http://a:1": ReplicaStats(requests=1, errors=1, quarantines=1),
-                "http://b:2": ReplicaStats(requests=1, chunks=1, hedges_won=1,
+                "http://b:2": ReplicaStats(requests=1, chunks=1,
                                            round_trip_seconds=0.25),
             },
         )
         merged = TransportStats.merged([a, b])
-        assert merged.chunks == 3 and merged.hedges == 1 and merged.quarantines == 1
+        assert merged.chunks == 3 and merged.retries == 1 and merged.quarantines == 1
         assert merged.replicas["http://a:1"].requests == 3
         assert merged.replicas["http://a:1"].errors == 1
-        assert merged.replicas["http://b:2"].hedges_won == 1
         assert merged.replicas["http://b:2"].mean_round_trip == pytest.approx(0.25)
         delta = merged.since(a)
         assert delta.replicas["http://a:1"].requests == 1
@@ -532,13 +509,6 @@ transport_strategy = st.builds(
     retries=st.integers(min_value=0, max_value=10),
     compression=st.sampled_from(["none", "gzip"]),
     state_dtype=st.sampled_from(["float64", "float32"]),
-    hedge_after=st.one_of(
-        st.none(),
-        st.floats(
-            min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True,
-            allow_nan=False,
-        ),
-    ),
     pool_size=st.integers(min_value=1, max_value=32),
 )
 
@@ -546,17 +516,10 @@ transport_strategy = st.builds(
 class TestTransportConfig:
     @given(config=transport_strategy)
     @settings(max_examples=80, deadline=None)
-    def test_jsonable_round_trip(self, config):
-        payload = json.loads(json.dumps(config.to_jsonable()))
-        assert TransportConfig.from_jsonable(payload) == config
-
-    def test_from_jsonable_rejects_junk(self):
-        with pytest.raises(ValueError, match="dict"):
-            TransportConfig.from_jsonable(["http://a:1"])
-        with pytest.raises(ValueError, match="unknown"):
-            TransportConfig.from_jsonable({"urls": ["http://a:1"], "nope": 1})
-        with pytest.raises(ValueError, match="urls"):
-            TransportConfig.from_jsonable({"timeout": 1.0})
+    def test_pickle_round_trip(self, config):
+        # The process engine ships RuntimeConfig to its workers by pickle.
+        runtime = pickle.loads(pickle.dumps(RuntimeConfig(transport=config)))
+        assert runtime.transport == config
 
     def test_url_normalization(self):
         single = TransportConfig(urls="http://a:1")
@@ -566,9 +529,9 @@ class TestTransportConfig:
         with pytest.raises(ValueError, match="URL"):
             TransportConfig(urls=("https://secure.example",))
 
-    def test_runtime_config_coerces_jsonable_transport(self, service):
-        cfg = RuntimeConfig(transport={"urls": [service.url]})
-        assert cfg.transport == TransportConfig(urls=(service.url,))
+    def test_runtime_config_refuses_a_dict_transport(self, service):
+        with pytest.raises(ValueError, match="TransportConfig"):
+            RuntimeConfig(transport={"urls": [service.url]})
 
 
 class TestFleet:
@@ -578,7 +541,7 @@ class TestFleet:
         config_kwargs = {
             k: kwargs.pop(k)
             for k in ("timeout", "retries", "compression", "state_dtype",
-                      "hedge_after", "pool_size")
+                      "pool_size")
             if k in kwargs
         }
         config_kwargs.setdefault("timeout", 10.0)
@@ -595,11 +558,13 @@ class TestFleet:
     def test_keep_alive_connections_reused(self, service, bert_lists):
         model, token_lists = bert_lists
         backend = fast_remote(service)
-        import asyncio
 
         async def run():
-            await backend.aencode_batch(model.encoder, token_lists, 4)
-            await backend.aencode_batch(model.encoder, token_lists, 4)
+            try:
+                await backend.aencode_batch(model.encoder, token_lists, 4)
+                await backend.aencode_batch(model.encoder, token_lists, 4)
+            finally:
+                backend.close()  # pooled sockets must not outlive this loop
 
         asyncio.run(run())
         stats = backend.stats_snapshot()
@@ -656,49 +621,34 @@ class TestFleet:
             assert np.array_equal(base, got)
 
     def test_sharding_routes_across_replicas(self, bert_lists):
+        # A chunk is never split: it goes whole to the replica routing
+        # favors, however many replicas are healthy.
         model, token_lists = bert_lists
-        # 6 tables is too few to shard; replicate the workload so the
-        # planner can split it (>= 2 * MIN_SHARD_SEQUENCES sequences).
-        token_lists = token_lists * 4
-        local = LocalBackend().encode_batch(model.encoder, token_lists, 4)
+        many = token_lists * 4
+        local = LocalBackend().encode_batch(model.encoder, many, 4)
         with FleetHarness(2) as fleet:
             backend = self.fleet_backend(fleet.urls)
-            states = backend.encode_batch(model.encoder, token_lists, 4)
-            for base, got in zip(local, states):
-                assert np.array_equal(base, got)
+            states = backend.encode_batch(model.encoder, many, 4)
             stats = backend.stats_snapshot()
-            assert stats.chunks == 2  # one shard per replica
-            assert stats.sequences == len(token_lists)
-            per_replica = [stats.replicas[url].chunks for url in fleet.urls]
-            assert per_replica == [1, 1]
-
-    def test_hedged_request_winner_loser_accounting(self, bert_lists):
-        model, token_lists = bert_lists
-        local = LocalBackend().encode_batch(model.encoder, token_lists, 4)
-        with FleetHarness(2, slow_index=0, slow_delay=0.5) as fleet:
-            urls = fleet.urls
-            backend = self.fleet_backend(urls, hedge_after=0.5)
-            # Prime the latency window so the hedge delay (a percentile
-            # over it) is computable and small; routing still explores
-            # replica 0 (the straggler) first.
-            for _ in range(8):
-                backend._rtt_samples.append(0.01)
-            states = backend.encode_batch(model.encoder, token_lists, 4)
-            stats = backend.stats_snapshot()
-        # No duplicate or dropped cells: every sequence answered once,
-        # bit-identical to local.
-        assert len(states) == len(token_lists)
         for base, got in zip(local, states):
             assert np.array_equal(base, got)
-        assert stats.hedges >= 1
-        assert stats.hedges_won >= 1  # the fast replica's copy won
-        assert stats.hedges_cancelled >= 1  # the straggler was cancelled
-        # Winner-only chunk accounting: consumed chunks == logical chunks,
-        # and every consumed sequence is counted exactly once.
-        assert stats.chunks == 1
-        assert stats.sequences == len(token_lists)
-        assert stats.replicas[urls[1]].hedges_won >= 1
-        assert stats.replicas[urls[0]].chunks == 0
+        assert stats.chunks == 1 and stats.sequences == len(many) == 24
+        assert sorted(rep.chunks for rep in stats.replicas.values()) == [1]
+        # Latency routing: the straggler gets one chunk, its exploration
+        # probe; its 0.5s delay adds to whatever the compute costs, so the
+        # fast replicas win every later chunk on any host.
+        local = LocalBackend().encode_batch(model.encoder, token_lists, 4)
+        with FleetHarness(3, slow_index=0, slow_delay=0.5) as fleet:
+            urls = fleet.urls
+            backend = self.fleet_backend(urls)
+            for _ in range(6):
+                states = backend.encode_batch(model.encoder, token_lists, 4)
+                for base, got in zip(local, states):
+                    assert np.array_equal(base, got)
+            stats = backend.stats_snapshot()
+        chunks = [stats.replicas[url].chunks for url in urls]
+        assert chunks[0] == 1 and sum(chunks[1:]) == 5, chunks
+        assert stats.retries == 0
 
     def test_quarantine_and_recovery_after_5xx_streak(self, bert_lists):
         model, token_lists = bert_lists
@@ -736,6 +686,29 @@ class TestFleet:
             assert backend._replicas[0].consecutive_failures == 0
             assert backend.stats_snapshot().replicas[fleet.urls[0]].chunks >= 1
 
+    def test_dead_replica_costs_a_bounded_number_of_retries(self, bert_lists):
+        # A refused connection counts towards quarantine like a 5xx: the
+        # dead replica costs QUARANTINE_AFTER retries, not one per chunk.
+        model, token_lists = bert_lists
+        local = LocalBackend().encode_batch(model.encoder, token_lists, 4)
+        dead = "http://127.0.0.1:9"
+        with FleetHarness(2) as fleet:
+            backend = RemoteBackend(
+                TransportConfig(urls=(dead, *fleet.urls)),
+                quarantine_seconds=60,
+                backoff_base=0.001,
+            )
+            for _ in range(10):
+                states = backend.encode_batch(model.encoder, token_lists, 4)
+                for base, got in zip(local, states):
+                    assert np.array_equal(base, got)
+            stats = backend.stats_snapshot()
+        assert stats.retries == QUARANTINE_AFTER
+        assert stats.quarantines == 1
+        assert stats.chunks == 10
+        assert stats.replicas[dead].chunks == 0
+        assert stats.replicas[dead].errors == QUARANTINE_AFTER
+
     def test_fleet_harness_surface(self):
         with FleetHarness(3, slow_index=1, slow_delay=0.05) as fleet:
             assert len(set(fleet.urls)) == 3
@@ -753,9 +726,7 @@ class TestFleet:
             fleet.inject(0, "http_500")
             runtime = RuntimeConfig(
                 backend="remote",
-                transport=TransportConfig(
-                    urls=fleet.urls, retries=4, hedge_after=0.9
-                ),
+                transport=TransportConfig(urls=fleet.urls, retries=4),
             )
             remote = Observatory(seed=0, sizes=SIZES, runtime=runtime).sweep(
                 ["bert"], SWEEP_PROPS
@@ -776,7 +747,6 @@ class TestFleet:
                 "--remote-url", "http://b:2",
                 "--remote-compression", "gzip",
                 "--remote-state-dtype", "float32",
-                "--remote-hedge-after", "0.95",
                 "--remote-pool-size", "2",
                 "--remote-timeout", "5",
             ]
@@ -787,7 +757,6 @@ class TestFleet:
             timeout=5.0,
             compression="gzip",
             state_dtype="float32",
-            hedge_after=0.95,
             pool_size=2,
         )
         plain = _build_parser().parse_args(["sweep", "--models", "bert"])

@@ -352,7 +352,9 @@ class TestFaultPolicy:
             make_observatory(max_workers=1).sweep(MODELS, PROPS, execution="thread")
         assert isinstance(info.value.__cause__, ValueError)
 
-    def test_abort_starts_no_further_cells_on_the_thread_pool(self, monkeypatch):
+    def test_abort_starts_no_further_cells_on_the_thread_pool(
+        self, monkeypatch, tmp_path
+    ):
         from repro.core import framework
 
         real = framework.Observatory.characterize
@@ -372,12 +374,19 @@ class TestFaultPolicy:
         models = ["bert", "t5", "roberta"]
         props = ["row_order_insignificance", "column_order_insignificance", "sample_fidelity"]
         workers = 2
+        journal_dir = str(tmp_path / "journal")
         with pytest.raises(CellExecutionError) as info:
-            make_observatory().sweep(models, props, max_workers=workers, execution="thread")
+            make_observatory().sweep(
+                models, props, max_workers=workers, execution="thread",
+                journal_dir=journal_dir,
+            )
         assert str(info.value.__cause__) == "injected cell fault"
         # The failing cell, the other worker's cell, and at most one more
         # picked up before the abort cancels the queue: not all nine.
         assert len(started) <= workers + 1
+        # Every cell that started, bar the failing one, ran to completion
+        # and is journaled, so a resume does not compute it again.
+        assert count_journal_cells(journal_dir) == len(started) - 1
 
     def test_expired_deadline_aborts_typed(self):
         policy = FaultPolicy(deadline=1e-6)
