@@ -203,13 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--remote-pool-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="keep-alive connections held per replica (default 4)",
-    )
-    sweep.add_argument(
         "--exact",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -490,7 +483,6 @@ def _transport_from_args(args: argparse.Namespace) -> Optional[TransportConfig]:
         or args.remote_retries is not None
         or args.remote_compression != "none"
         or args.remote_state_dtype != "float64"
-        or args.remote_pool_size is not None
     )
     if not tuned:
         return None
@@ -505,8 +497,6 @@ def _transport_from_args(args: argparse.Namespace) -> Optional[TransportConfig]:
         kwargs["timeout"] = args.remote_timeout
     if args.remote_retries is not None:
         kwargs["retries"] = args.remote_retries
-    if args.remote_pool_size is not None:
-        kwargs["pool_size"] = args.remote_pool_size
     return TransportConfig(
         urls=urls,
         compression=args.remote_compression,
@@ -679,15 +669,13 @@ def _run_serve(args: argparse.Namespace) -> int:
         request_deadline=args.request_deadline,
         retry_after=args.retry_after,
     )
-    service = CharacterizationService(observatory, config=config).start()
-    print(f"characterization service listening on {service.url}", flush=True)
-    print(f"state dir: {service.state_dir}", flush=True)
-
     stop = threading.Event()
 
     def _interrupt(signum, frame):
         stop.set()
 
+    # The handlers go in before the announcement: a caller may signal as
+    # soon as it reads "listening on", and that must still close cleanly.
     previous = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -695,12 +683,17 @@ def _run_serve(args: argparse.Namespace) -> int:
         except ValueError:  # non-main thread (embedding callers)
             break
     try:
-        while not stop.wait(0.2):
-            pass
+        service = CharacterizationService(observatory, config=config).start()
+        try:
+            print(f"characterization service listening on {service.url}", flush=True)
+            print(f"state dir: {service.state_dir}", flush=True)
+            while not stop.wait(0.2):
+                pass
+        finally:
+            service.close()
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-        service.close()
     print(render_service(service.stats_snapshot()), file=sys.stderr)
     return 0
 

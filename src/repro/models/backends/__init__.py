@@ -11,16 +11,17 @@ The batching strategy of every surrogate encoder is a swappable
   heterogeneous-length corpora.  Opt in via ``RuntimeConfig(exact=False)``.
 - :class:`RemoteBackend` (``"remote"``) — ships TokenArray wire payloads
   over HTTP to a fleet of encoding replicas (one whole chunk per request,
-  routed by per-replica latency, keep-alive connection pools,
-  retry/backoff with rerouting, quarantine of failing replicas, gzip and
-  float32 wire tiers); bit-identical to local in exact float64 mode, within
-  :data:`PADDED_TOLERANCE` / :data:`FLOAT32_TOLERANCE` in the opt-in
-  tiers.  Configured by a typed :class:`TransportConfig`; opt in via
+  routed by per-replica latency, idle keep-alive connections shared by
+  every call, retry/backoff with rerouting, quarantine of failing
+  replicas, gzip and float32 wire tiers); bit-identical to local in exact
+  float64 mode, within :data:`PADDED_TOLERANCE` /
+  :data:`FLOAT32_TOLERANCE` in the opt-in tiers.  Configured by a typed
+  :class:`TransportConfig`; opt in via
   ``RuntimeConfig(backend="remote", transport=TransportConfig(urls=...))``.
 
 Backends also expose ``aencode_batch`` (awaitable encoding), the hook the
-streaming executor drives — the remote backend overrides it with real
-network I/O.
+streaming executor drives; every backend, the remote one included, runs
+its synchronous ``encode_batch`` on a worker thread there.
 """
 
 from __future__ import annotations

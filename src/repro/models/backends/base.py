@@ -13,11 +13,11 @@ or a remote encoder fleet without touching models, properties, or the
 planner.
 
 Every backend also exposes :meth:`aencode_batch`, the awaitable variant
-the streaming executor drives.  The default implementation offloads the
-synchronous :meth:`encode_batch` to a worker thread: numpy's BLAS kernels
-release the GIL, so an awaiting caller genuinely overlaps pure-Python
-work (fingerprinting, serialization, cache probes) with the forward
-passes.  A remote backend would override it with real network I/O.
+the streaming executor drives.  It offloads the synchronous
+:meth:`encode_batch` to a worker thread: numpy's BLAS kernels release the
+GIL, and the remote backend blocks on its sockets, so an awaiting caller
+overlaps pure-Python work (fingerprinting, serialization, cache probes)
+with the forward passes or the round trip.  No backend overrides it.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ class EncoderBackend(abc.ABC):
     ) -> List[np.ndarray]:
         """Awaitable :meth:`encode_batch`; default offloads to a thread.
 
-        BLAS releases the GIL inside the forward passes, so awaiting this
-        overlaps the event loop's other work with the encoder math.
-        Remote/GPU backends override this with genuine async I/O.
+        BLAS releases the GIL inside the forward passes (and socket waits
+        release it in the remote backend), so awaiting this overlaps the
+        event loop's other work with the encoder.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(

@@ -20,11 +20,17 @@ Everything about the transport is configured through one typed object,
   failures) and **quarantines** a replica after repeated transport
   failures — probing it again once the quarantine lapses, so a recovered
   host rejoins the rotation without operator action.
-- **Keep-alive pooling** (``pool_size``): requests ride HTTP/1.1
-  keep-alive connections drawn from a bounded per-replica pool.  A
-  connection is pinned to the event loop that opened it, so reuse
-  happens only within one loop; chunked transfer-encoded responses are
-  decoded, so real servers (nginx, uvicorn) work unmodified.
+- **Keep-alive**: requests ride HTTP/1.1 keep-alive connections
+  (stdlib :mod:`http.client`, the idiom
+  :class:`~repro.service.client.ServiceClient` uses).  Each replica
+  keeps one lock-guarded list of idle connections shared by every
+  thread and call; a connection returns to it only after a keep-alive
+  response was read in full, so the list never holds more sockets than
+  there were concurrent requests.  Idle sockets close on
+  :meth:`RemoteBackend.close` or when the backend is collected.  A
+  replica may close an idle socket at any time: a reused connection
+  that fails before its status line arrives is replaced once by a fresh
+  one, which is neither a retry nor a replica error.
 - **Compression** (``compression="gzip"``): request and response bodies
   are gzip-encoded end to end (the response side is negotiated via
   ``Accept-Encoding``, so it is strictly opt-in).  Base64 float64 states
@@ -52,11 +58,13 @@ Protocol (one ``POST {url}/encode`` per chunk)::
 
 Failure semantics, by class:
 
-- **Transient transport faults** — connection errors, request deadlines
-  (``timeout`` per request, enforced with ``asyncio.wait_for``), HTTP
-  5xx, torn/undecodable bodies — are retried up to ``retries`` times
-  with exponential backoff and jitter, rerouting away from the replica
-  that just failed when an alternative exists.
+- **Transient transport faults** — connection errors, request deadlines,
+  HTTP 5xx, torn/undecodable bodies — are retried up to ``retries``
+  times with exponential backoff and jitter, rerouting away from the
+  replica that just failed when an alternative exists.  ``timeout``
+  bounds a whole attempt: the socket timeout is re-armed with what is
+  left of it before connect, send, the status line and each body read,
+  so a replica that drips its body cannot stretch an attempt.
 - **Out-of-order responses** are not faults at all: every state echoes
   its input sequence's digest, and the client reassembles by digest, so
   a service is free to return states in any order.
@@ -81,16 +89,19 @@ a per-replica breakdown — that the sweep report surfaces.
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import dataclasses
 import gzip
 import hashlib
+import http.client
 import json
 import os
 import random
+import socket
 import threading
 import time
+import weakref
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
@@ -126,6 +137,9 @@ BACKOFF_CAP = 2.0
 QUARANTINE_AFTER = 3
 QUARANTINE_SECONDS = 5.0
 
+#: Most bytes one body read asks the socket for.
+READ_SIZE = 1 << 16
+
 
 def env_urls() -> Tuple[str, ...]:
     """Replica URLs from ``$REPRO_REMOTE_URL`` (empty when unset)."""
@@ -135,6 +149,10 @@ def env_urls() -> Tuple[str, ...]:
 
 class _TransientError(RemoteEncodeError):
     """Internal marker: a fault the retry loop may re-attempt."""
+
+
+class _StaleConnection(Exception):
+    """Internal marker: a reused idle connection the replica had closed."""
 
 
 @dataclasses.dataclass
@@ -166,11 +184,14 @@ class TransportStats(Counters):
     only the round trips whose response was consumed.
     ``round_trip_seconds`` sums consumed round trips, so
     ``mean_round_trip`` is the per-chunk latency the report shows.
-    ``bytes_sent``/``bytes_received`` measure **bytes on the wire**
-    (after compression), for every attempt that transferred them — a
-    failed attempt's bytes really cross the network, so they count here
-    even though its response never reaches the results.  ``replicas``
-    breaks routing down per replica URL.
+    ``bytes_sent``/``bytes_received`` count request and response
+    **bodies** as they cross the wire (after compression; headers are
+    excluded because :mod:`http.client` does not expose them), for every
+    attempt whose response was read in full — a 5xx's bytes count here
+    even though its response never reaches the results.
+    ``connections_opened``/``connections_reused`` count the keep-alive
+    connections attempts opened or took from a replica's idle list.
+    ``replicas`` breaks routing down per replica URL.
     """
 
     derived = ("mean_round_trip",)
@@ -195,139 +216,45 @@ class TransportStats(Counters):
         return self.round_trip_seconds / self.chunks if self.chunks else 0.0
 
 
-class _Connection:
-    """One keep-alive socket, pinned to the event loop that opened it."""
-
-    __slots__ = ("loop", "reader", "writer")
-
-    def __init__(self, loop, reader, writer):
-        self.loop = loop
-        self.reader = reader
-        self.writer = writer
-
-    def abort(self) -> None:
-        """Tear the socket down without awaiting (safe cross-loop)."""
-        try:
-            self.writer.transport.abort()
-        except Exception:
-            pass  # already broken / loop gone — nothing left to release
-
-
 class _Replica:
-    """One encoding replica: address, connection pool, health, latency.
+    """One encoding replica: address, idle connections, health, latency.
 
-    Connections are pinned to the asyncio loop that opened them (asyncio
-    transports cannot migrate loops), so the pool tracks per-loop open
-    counts and :meth:`acquire` only hands out idle connections belonging
-    to the *running* loop.  The bound is ``pool_size`` open connections
-    per loop.
+    ``idle`` holds keep-alive connections whose last response was read
+    in full; any thread may take one (:meth:`take_idle`), so it never
+    holds more sockets than there were concurrent requests.
     """
 
-    def __init__(self, url: str, index: int, pool_size: int):
+    def __init__(self, url: str, index: int):
         split = urlsplit(url)
         self.url = url
         self.index = index
         self.host = split.hostname
         self.port = split.port or 80
         self.path = (split.path.rstrip("/") or "") + "/encode"
-        self.pool_size = pool_size
         self.lock = threading.Lock()
-        self._idle: List[_Connection] = []
-        self._open_counts: Dict[int, int] = {}
-        self._loops: Dict[int, object] = {}
+        self.idle: List[http.client.HTTPConnection] = []
         # Health / latency model (guarded by ``lock``).
         self.in_flight = 0
         self.consecutive_failures = 0
         self.quarantined_until = 0.0  # time.monotonic deadline; 0 = healthy
         self.per_seq_ewma: Optional[float] = None
 
-    # -- connection pool ----------------------------------------------
+    # -- keep-alive connections ---------------------------------------
 
-    async def acquire(self, timeout: float) -> Tuple[_Connection, bool]:
-        """An idle pooled connection, or a new one within the bound.
-
-        Returns ``(connection, reused)``.  Waits (bounded by ``timeout``)
-        when the replica already has ``pool_size`` connections open on
-        this loop.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = time.monotonic() + timeout
-        while True:
-            with self.lock:
-                self._purge_dead_loops_locked()
-                for i, conn in enumerate(self._idle):
-                    if conn.loop is loop:
-                        self._idle.pop(i)
-                        return conn, True
-                key = id(loop)
-                count = self._open_counts.get(key, 0)
-                if count < self.pool_size:
-                    self._open_counts[key] = count + 1
-                    self._loops[key] = loop
-                    break
-            if time.monotonic() >= deadline:
-                raise _TransientError(
-                    f"connection pool to {self.url} exhausted "
-                    f"({self.pool_size} connection(s) busy)"
-                )
-            await asyncio.sleep(0.002)
-        try:
-            reader, writer = await asyncio.open_connection(self.host, self.port)
-        except BaseException:
-            with self.lock:
-                self._open_counts[id(loop)] -= 1
-            raise
-        return _Connection(loop, reader, writer), False
-
-    def release(self, conn: _Connection) -> None:
-        """Return a healthy keep-alive connection to the pool."""
+    def take_idle(self) -> Optional[http.client.HTTPConnection]:
+        """The most recently used idle connection, or ``None``."""
         with self.lock:
-            self._idle.append(conn)
+            return self.idle.pop() if self.idle else None
 
-    def discard(self, conn: _Connection) -> None:
-        """Close a connection that must not be reused (error, no keep-alive)."""
-        conn.abort()
+    def put_idle(self, conn: http.client.HTTPConnection) -> None:
         with self.lock:
-            key = id(conn.loop)
-            if key in self._open_counts:
-                self._open_counts[key] = max(0, self._open_counts[key] - 1)
+            self.idle.append(conn)
 
-    def drop_loop(self, loop) -> None:
-        """Abort idle connections bound to ``loop`` (it is about to close)."""
+    def close_idle(self) -> None:
         with self.lock:
-            keep: List[_Connection] = []
-            for conn in self._idle:
-                if conn.loop is loop:
-                    conn.abort()
-                    key = id(loop)
-                    self._open_counts[key] = max(0, self._open_counts.get(key, 1) - 1)
-                else:
-                    keep.append(conn)
-            self._idle = keep
-
-    def close_all(self) -> None:
-        """Abort every idle connection (backend shutdown)."""
-        with self.lock:
-            for conn in self._idle:
-                conn.abort()
-                key = id(conn.loop)
-                self._open_counts[key] = max(0, self._open_counts.get(key, 1) - 1)
-            self._idle = []
-
-    def _purge_dead_loops_locked(self) -> None:
-        alive: List[_Connection] = []
-        for conn in self._idle:
-            if conn.loop.is_closed():
-                conn.abort()
-                key = id(conn.loop)
-                self._open_counts[key] = max(0, self._open_counts.get(key, 1) - 1)
-            else:
-                alive.append(conn)
-        self._idle = alive
-        for key, loop in list(self._loops.items()):
-            if getattr(loop, "is_closed", lambda: False)() and not self._open_counts.get(key):
-                self._open_counts.pop(key, None)
-                self._loops.pop(key, None)
+            idle, self.idle = self.idle, []
+        for conn in idle:
+            conn.close()
 
     # -- health / latency ---------------------------------------------
 
@@ -437,9 +364,9 @@ class RemoteBackend(EncoderBackend):
         self._deadline = None  # optional live sweep budget; see set_deadline
         self.stats = TransportStats()
         self._stats_lock = threading.Lock()
-        self._replicas = [
-            _Replica(u, i, config.pool_size) for i, u in enumerate(config.urls)
-        ]
+        self._replicas = [_Replica(u, i) for i, u in enumerate(config.urls)]
+        # Idle sockets must not outlive a backend nobody closed.
+        weakref.finalize(self, _close_idle, self._replicas)
 
     # -- description / policy -----------------------------------------
 
@@ -491,37 +418,12 @@ class RemoteBackend(EncoderBackend):
             return self.stats.copy()
 
     def close(self) -> None:
-        """Drop every idle pooled connection (the backend stays usable)."""
-        for replica in self._replicas:
-            replica.close_all()
+        """Close every idle keep-alive connection (the backend stays usable)."""
+        _close_idle(self._replicas)
 
     # -- encoding ------------------------------------------------------
 
     def encode_batch(
-        self, encoder, token_lists: Sequence[TokenSequence], batch_size: int = 8
-    ) -> List[np.ndarray]:
-        """Synchronous facade over :meth:`aencode_batch`.
-
-        ``asyncio.run`` builds a fresh event loop per call, and the pool
-        drops this loop's connections before it closes: keep-alive reuse
-        happens *within* one call (a retry on the same replica), and
-        across calls only on a persistent loop such as the streaming
-        executor's encode loop.
-        """
-
-        async def run() -> List[np.ndarray]:
-            try:
-                return await self.aencode_batch(
-                    encoder, token_lists, batch_size=batch_size
-                )
-            finally:
-                loop = asyncio.get_running_loop()
-                for replica in self._replicas:
-                    replica.drop_loop(loop)
-
-        return asyncio.run(run())
-
-    async def aencode_batch(
         self, encoder, token_lists: Sequence[TokenSequence], batch_size: int = 8
     ) -> List[np.ndarray]:
         """Encode one chunk on one replica; results in input order.
@@ -530,10 +432,6 @@ class RemoteBackend(EncoderBackend):
         empty ``[0, dim]`` array by definition — no forward pass exists
         to farm out); everything else ships whole, in one request, to the
         replica :meth:`_pick_replica` favors.
-
-        Pooled connections are pinned to the event loop that opened them:
-        a caller driving this on its own loop calls :meth:`close` before
-        that loop ends, or the idle sockets outlive it.
         """
         dim = encoder.config.dim
         results: List[Optional[np.ndarray]] = [None] * len(token_lists)
@@ -561,7 +459,7 @@ class RemoteBackend(EncoderBackend):
         ).encode("utf-8")
         if self.config.compression == "gzip":
             body = gzip.compress(body, compresslevel=6)
-        response = await self._send_chunk(body, len(pending))
+        response = self._send_chunk(body, len(pending))
         lengths = [len(ta) for _, ta in pending]
         states = _reassemble_states(
             response, digests, lengths, dim, self.config.state_dtype
@@ -600,7 +498,7 @@ class RemoteBackend(EncoderBackend):
 
     # -- transport -----------------------------------------------------
 
-    async def _send_chunk(self, body: bytes, n_sequences: int) -> Dict[str, object]:
+    def _send_chunk(self, body: bytes, n_sequences: int) -> Dict[str, object]:
         """One chunk's request with retry and rerouting."""
         last_error: Optional[Exception] = None
         failed: Optional[_Replica] = None
@@ -622,14 +520,14 @@ class RemoteBackend(EncoderBackend):
                 delay *= 0.5 + self._rng.random()
                 if self._deadline is not None:
                     delay = self._deadline.bound(delay)
-                await asyncio.sleep(delay)
+                time.sleep(delay)
             # A retry reroutes away from the replica that just failed when
             # an alternative exists.
             replica = self._pick_replica(
                 exclude=(failed,) if failed is not None else ()
             )
             try:
-                decoded, rtt = await self._attempt_on(replica, body)
+                decoded, rtt = self._attempt_on(replica, body)
             except _TransientError as error:
                 last_error = error
                 failed = replica
@@ -641,65 +539,42 @@ class RemoteBackend(EncoderBackend):
             f"across {len(self._replicas)} replica(s): {last_error}"
         ) from last_error
 
-    async def _attempt_on(
+    def _attempt_on(
         self, replica: _Replica, body: bytes
     ) -> Tuple[Dict[str, object], float]:
-        """One HTTP round trip against one replica, over its pool.
+        """One HTTP round trip against one replica.
 
         Raises :class:`_TransientError` for faults the retry loop may
         re-attempt, plain :class:`RemoteEncodeError` for fatal ones.
-        Cancellation (a request deadline, an abandoned chunk) tears the
-        in-flight connection down — a half-read socket must never return
-        to the pool.
         """
         with self._stats_lock:
             self.stats.requests += 1
             self._replica_stats_locked(replica).requests += 1
         with replica.lock:
             replica.in_flight += 1
-        conn: Optional[_Connection] = None
         attempt_timeout = self._request_timeout()
+        deadline = time.monotonic() + attempt_timeout
         try:
-            try:
-                conn, reused = await replica.acquire(attempt_timeout)
-            except OSError as error:
-                # Refused/unroutable before a single byte moved.
-                self._note_failure(replica)
-                raise _TransientError(f"{replica.url}: {error}") from error
-            with self._stats_lock:
-                if reused:
-                    self.stats.connections_reused += 1
-                else:
-                    self.stats.connections_opened += 1
             started = time.perf_counter()
             try:
-                status, payload, sent, received, keep_alive = await asyncio.wait_for(
-                    self._roundtrip(replica, conn, body), timeout=attempt_timeout
-                )
-            except asyncio.TimeoutError:
+                status, payload = self._round_trip(replica, body, deadline)
+            except TimeoutError:
                 self._note_failure(replica, timeout=True)
                 raise _TransientError(
                     f"request deadline ({attempt_timeout:g}s) exceeded at {replica.url}"
                 ) from None
-            except (OSError, EOFError, ValueError) as error:
-                # Connection refused/reset, stale keep-alive EOF, torn
-                # reads, unparsable framing — all transient faults.
+            except (OSError, ValueError, http.client.HTTPException) as error:
+                # Refused/reset connections, torn reads, malformed framing
+                # or gzip — all transient faults.
                 self._note_failure(replica)
                 raise _TransientError(f"{replica.url}: {error}") from error
             rtt = time.perf_counter() - started
-            with self._stats_lock:
-                self.stats.bytes_sent += sent
-                self.stats.bytes_received += received
             if status >= 500:
                 self._note_failure(replica, http_error=True)
-                self._finish_conn(replica, conn, keep_alive)
-                conn = None
                 raise _TransientError(
                     f"{replica.url} answered HTTP {status}: {payload[:200]!r}"
                 )
             if status != 200:
-                self._finish_conn(replica, conn, keep_alive)
-                conn = None
                 raise RemoteEncodeError(
                     f"service rejected request (HTTP {status}): {payload[:500]!r}"
                 )
@@ -709,112 +584,93 @@ class RemoteBackend(EncoderBackend):
                 self._note_failure(replica)
                 raise _TransientError(f"torn response body: {error}") from error
             replica.note_ok()
-            self._finish_conn(replica, conn, keep_alive)
-            conn = None
             return decoded, rtt
         finally:
-            if conn is not None:
-                replica.discard(conn)
             with replica.lock:
                 replica.in_flight -= 1
 
-    async def _roundtrip(
-        self, replica: _Replica, conn: _Connection, body: bytes
-    ) -> Tuple[int, bytes, int, int, bool]:
-        """Write one request, read one response, on a pooled connection.
-
-        Returns ``(status, payload, wire_bytes_sent, wire_bytes_received,
-        keep_alive)``.  The request is HTTP/1.1 with keep-alive; both
-        Content-Length-delimited and chunked transfer-encoded responses
-        are decoded (EOF-delimited bodies work too but mark the
-        connection non-reusable).  Gzip response bodies are transparently
-        decompressed; byte counts are *wire* bytes in both directions —
-        headers, chunk framing, and (compressed) bodies.
-        """
-        lines = [
-            f"POST {replica.path} HTTP/1.1",
-            f"Host: {replica.host}:{replica.port}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            "Connection: keep-alive",
-        ]
-        if self.config.compression == "gzip":
-            lines.append("Content-Encoding: gzip")
-            lines.append("Accept-Encoding: gzip")
-        else:
-            lines.append("Accept-Encoding: identity")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
-        conn.writer.write(head + body)
-        await conn.writer.drain()
-        reader = conn.reader
-        status_line = await reader.readline()
-        if not status_line:
-            raise EOFError("connection closed before status line")
-        wire_in = len(status_line)
-        parts = status_line.split(None, 2)
-        if len(parts) < 2:
-            raise ValueError(f"malformed HTTP status line {status_line!r}")
-        version = parts[0].decode("latin-1", "replace").upper()
-        status = int(parts[1])
-        content_length: Optional[int] = None
-        chunked = False
-        content_encoding = ""
-        connection_header = ""
-        while True:
-            line = await reader.readline()
-            wire_in += len(line)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            value = value.strip()
-            if name == "content-length":
-                content_length = int(value)
-            elif name == "transfer-encoding" and "chunked" in value.lower():
-                chunked = True
-            elif name == "content-encoding":
-                content_encoding = value.lower()
-            elif name == "connection":
-                connection_header = value.lower()
-        if chunked:
-            raw, body_wire = await _read_chunked(reader)
-        elif content_length is not None:
-            # readexactly raises IncompleteReadError (EOFError) when the
-            # body is torn short of the advertised length.
-            raw = await reader.readexactly(content_length)
-            body_wire = len(raw)
-        else:
-            raw = await reader.read()
-            body_wire = len(raw)
-        wire_in += body_wire
-        framed = chunked or content_length is not None
-        keep_alive = (
-            framed
-            and "close" not in connection_header
-            and (version.endswith("/1.1") or "keep-alive" in connection_header)
-        )
-        if content_encoding == "gzip":
+    def _round_trip(
+        self, replica: _Replica, body: bytes, deadline: float
+    ) -> Tuple[int, bytes]:
+        """One exchange on the replica's last idle connection or a new one."""
+        conn = replica.take_idle()
+        if conn is not None:
             try:
-                payload = gzip.decompress(raw)
-            except Exception as error:
-                raise ValueError(f"undecodable gzip response body: {error}") from error
+                return self._exchange(replica, conn, body, deadline, reused=True)
+            except _StaleConnection:
+                pass  # closed by the replica while idle: one fresh connection
+        conn = http.client.HTTPConnection(
+            replica.host, replica.port, timeout=_remaining(deadline)
+        )
+        conn.connect()
+        return self._exchange(replica, conn, body, deadline, reused=False)
+
+    def _exchange(
+        self,
+        replica: _Replica,
+        conn: http.client.HTTPConnection,
+        body: bytes,
+        deadline: float,
+        *,
+        reused: bool,
+    ) -> Tuple[int, bytes]:
+        """Send one request and read its response in full on ``conn``.
+
+        Returns ``(status, payload)`` with gzip bodies decompressed.  The
+        connection goes back to the replica's idle list only after a
+        keep-alive response was read in full; on any error it is closed.
+        Raises :class:`_StaleConnection` when a *reused* connection fails
+        before the status line arrives — the replica closed it idle.
+        """
+        with self._stats_lock:
+            if reused:
+                self.stats.connections_reused += 1
+            else:
+                self.stats.connections_opened += 1
+        headers = {"Content-Type": "application/json"}
+        if self.config.compression == "gzip":
+            headers["Content-Encoding"] = "gzip"
+            headers["Accept-Encoding"] = "gzip"
+        # Our own reference: http.client drops ``conn.sock`` when the
+        # response says it will close, but the body still reads from it.
+        sock = conn.sock
+        response = None
+        try:
+            try:
+                sock.settimeout(_remaining(deadline))
+                conn.request("POST", replica.path, body=body, headers=headers)
+                sock.settimeout(_remaining(deadline))
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError) as error:
+                if reused:  # RemoteDisconnected is a ConnectionResetError
+                    raise _StaleConnection() from error
+                raise
+            raw = _read_body(response, sock, deadline)
+        except BaseException:
+            if response is not None:
+                response.close()
+            conn.close()
+            raise
+        response.close()
+        if response.will_close:
+            conn.close()
         else:
-            payload = raw
-        return status, payload, len(head) + len(body), wire_in, keep_alive
+            replica.put_idle(conn)
+        with self._stats_lock:
+            self.stats.bytes_sent += len(body)
+            self.stats.bytes_received += len(raw)
+        if response.getheader("Content-Encoding", "").lower() == "gzip":
+            try:
+                raw = gzip.decompress(raw)
+            except (OSError, EOFError, zlib.error) as error:
+                raise ValueError(f"undecodable gzip response body: {error}") from error
+        return response.status, raw
 
     # -- accounting ----------------------------------------------------
 
     def _replica_stats_locked(self, replica: _Replica) -> ReplicaStats:
         """Per-replica counters; caller holds ``_stats_lock``."""
         return self.stats.replicas.setdefault(replica.url, ReplicaStats())
-
-    def _finish_conn(
-        self, replica: _Replica, conn: _Connection, keep_alive: bool
-    ) -> None:
-        if keep_alive:
-            replica.release(conn)
-        else:
-            replica.discard(conn)
 
     def _note_failure(
         self, replica: _Replica, *, timeout: bool = False, http_error: bool = False
@@ -842,34 +698,40 @@ class RemoteBackend(EncoderBackend):
             rs.round_trip_seconds += rtt
         replica.note_rtt(rtt, n_sequences)
 
-async def _read_chunked(reader: "asyncio.StreamReader") -> Tuple[bytes, int]:
-    """Decode a chunked transfer-encoded body (trailers discarded).
 
-    Returns ``(body, wire_bytes)`` where ``wire_bytes`` includes the
-    chunk-size lines, chunk terminators, and trailers — the bytes the
-    body actually occupied on the wire.
+def _close_idle(replicas: Sequence[_Replica]) -> None:
+    for replica in replicas:
+        replica.close_idle()
+
+
+def _remaining(deadline: float) -> float:
+    """Seconds left before ``deadline``; a spent budget is a timeout."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+def _read_body(
+    response: http.client.HTTPResponse, sock: socket.socket, deadline: float
+) -> bytes:
+    """The whole response body, one socket read at a time.
+
+    The socket timeout is re-armed with the remaining budget before each
+    read, so a body that drips in never outlasts the attempt.  A
+    Content-Length body torn short raises ``IncompleteRead``; a torn
+    chunked body raises it from :mod:`http.client`.
     """
     parts: List[bytes] = []
-    wire = 0
-    while True:
-        size_line = await reader.readline()
-        if not size_line:
-            raise EOFError("connection closed inside chunked body")
-        wire += len(size_line)
-        try:
-            size = int(size_line.split(b";", 1)[0].strip(), 16)
-        except ValueError:
-            raise ValueError(f"malformed chunk size line {size_line!r}") from None
-        if size == 0:
-            while True:  # trailers, then the final blank line
-                line = await reader.readline()
-                wire += len(line)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            return b"".join(parts), wire
-        parts.append(await reader.readexactly(size))
-        await reader.readexactly(2)  # chunk-terminating CRLF
-        wire += size + 2
+    while response.length != 0:  # None: chunked, or delimited by EOF
+        sock.settimeout(_remaining(deadline))
+        part = response.read1(READ_SIZE)
+        if not part:
+            break
+        parts.append(part)
+    if response.length:
+        raise http.client.IncompleteRead(b"".join(parts), response.length)
+    return b"".join(parts)
 
 
 def _reassemble_states(

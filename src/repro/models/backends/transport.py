@@ -3,8 +3,9 @@
 :class:`TransportConfig` is the *one* object that describes how encoder
 chunks reach a fleet of remote encoding replicas: which replicas exist,
 how long a request may take, how failures are retried, whether bodies are
-gzip-compressed, which floating-point tier states ride the wire in, and
-how many keep-alive connections each replica may hold.
+gzip-compressed, and which floating-point tier states ride the wire in.
+Keep-alive needs no setting: each replica's idle connections are the
+ones its concurrent requests left behind.
 ``RuntimeConfig(transport=TransportConfig(...))`` is the one spelling.
 
 The config is a frozen dataclass of primitives, so it pickles across
@@ -31,14 +32,18 @@ STATE_DTYPES = ("float64", "float32")
 
 DEFAULT_TIMEOUT = 10.0
 DEFAULT_RETRIES = 3
-DEFAULT_POOL_SIZE = 4
 
 
 def _validate_url(url: str) -> str:
     split = urlsplit(url)
-    if split.scheme != "http" or not split.hostname:
+    try:
+        port = split.port  # raises on a non-integer or out-of-range port
+    except ValueError:
+        port = 0
+    if split.scheme != "http" or not split.hostname or port == 0:
         raise ValueError(
-            f"transport URL must be http://host[:port][/path], got {url!r}"
+            f"transport URL must be http://host[:port][/path] with a port "
+            f"in 1-65535, got {url!r}"
         )
     return url
 
@@ -62,7 +67,6 @@ class TransportConfig:
         state_dtype: ``"float64"`` (bit-exact) or ``"float32"`` (half the
             state bytes, within the documented tolerance; requires
             ``RuntimeConfig(exact=False)`` — exactness is a promise).
-        pool_size: maximum keep-alive connections held per replica.
     """
 
     urls: Tuple[str, ...]
@@ -70,7 +74,6 @@ class TransportConfig:
     retries: int = DEFAULT_RETRIES
     compression: str = "none"
     state_dtype: str = "float64"
-    pool_size: int = DEFAULT_POOL_SIZE
 
     def __post_init__(self):
         urls = self.urls
@@ -105,8 +108,6 @@ class TransportConfig:
                 f"unknown state_dtype {self.state_dtype!r}; "
                 f"expected one of {STATE_DTYPES}"
             )
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be positive")
 
     def describe(self) -> str:
         """Short human rendering for backend descriptions and reports."""

@@ -15,8 +15,8 @@ results is comparing two independent processes' worth of state (interner,
 weights, content vectors) reconstructed from configuration, which is
 precisely the claim the wire format makes.
 
-The service speaks HTTP/1.1 with keep-alive (so the fleet client's
-connection pool is exercised for real), accepts gzip request bodies and
+The service speaks HTTP/1.1 with keep-alive (so the fleet client's idle
+connections are reused for real), accepts gzip request bodies and
 negotiates gzip responses via ``Accept-Encoding``, and honors the
 protocol-2 ``state_dtype`` field — ``"float32"`` states are rounded to
 little-endian float32 on the wire and tagged with a ``dtype`` echo.
@@ -31,8 +31,8 @@ FIFO by subsequent requests —
 - ``"timeout"`` — sleep past the client's deadline before answering (the
   client must abandon the request and retry);
 - ``"torn"`` — advertise the full Content-Length but write only half the
-  body, then close the connection (the client sees a short read and
-  retries);
+  body, then close the connection (the client sees a short read, closes
+  that connection and retries);
 - ``"shuffle"`` — return the states reversed (NOT a fault the client may
   reject: it must reassemble by digest echo and still be bit-identical);
 - ``"tamper"`` — corrupt a state's bytes while keeping the original

@@ -18,6 +18,9 @@ Locks in the transport's four contracts:
 4. **Fleet** — each chunk goes whole to the replica latency routing
    favors, and a failing replica is quarantined after a bounded number of
    retries.
+5. **Keep-alive** — synchronous calls reuse idle connections, a
+   connection the replica closed while idle is replaced without a retry,
+   and a body that drips in cannot stretch an attempt past its timeout.
 
 Plus a Hypothesis round trip of the JSON wire encoding (unicode pieces,
 empty sequences, single-token arrays).
@@ -27,7 +30,11 @@ import asyncio
 import json
 import pickle
 import random
+import re
+import socket
+import threading
 import time
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -145,14 +152,8 @@ class TestLoopbackNumerics:
         token_lists = token_lists_for(model, small_tables())
         backend = fast_remote(service)
         sync = backend.encode_batch(model.encoder, token_lists, 4)
-
-        async def run():
-            try:
-                return await backend.aencode_batch(model.encoder, token_lists, 4)
-            finally:
-                backend.close()  # pooled sockets must not outlive this loop
-
-        afresh = asyncio.run(run())
+        afresh = asyncio.run(backend.aencode_batch(model.encoder, token_lists, 4))
+        backend.close()
         for a, b in zip(sync, afresh):
             assert np.array_equal(a, b)
 
@@ -382,8 +383,6 @@ class TestConfigWiring:
         with pytest.raises(ValueError):
             TransportConfig(urls=(service.url,), timeout=0.0)
         with pytest.raises(ValueError):
-            TransportConfig(urls=(service.url,), pool_size=0)
-        with pytest.raises(ValueError):
             TransportConfig(urls=(service.url, service.url))  # duplicates
         with pytest.raises(ValueError):
             TransportConfig(urls=())
@@ -435,7 +434,13 @@ class TestConfigWiring:
             EncoderPool().encode_request({"protocol": 1, "sequences": []})
 
     def test_bad_urls_rejected(self, monkeypatch):
-        for bad in ("https://secure.example", "not a url"):  # only http is spoken
+        for bad in (
+            "https://secure.example",  # only http is spoken
+            "not a url",
+            "http://a:x",  # the port must be an integer in 1-65535
+            "http://a:99999",
+            "http://a:0",
+        ):
             monkeypatch.setenv("REPRO_REMOTE_URL", bad)
             with pytest.raises(ModelError):
                 RemoteBackend()
@@ -509,7 +514,6 @@ transport_strategy = st.builds(
     retries=st.integers(min_value=0, max_value=10),
     compression=st.sampled_from(["none", "gzip"]),
     state_dtype=st.sampled_from(["float64", "float32"]),
-    pool_size=st.integers(min_value=1, max_value=32),
 )
 
 
@@ -534,14 +538,103 @@ class TestTransportConfig:
             RuntimeConfig(transport={"urls": [service.url]})
 
 
+def read_message(sock: socket.socket) -> bytes:
+    """One HTTP message with a Content-Length body, read whole."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        part = sock.recv(65536)
+        if not part:
+            raise ConnectionError("peer closed mid-message")
+        data += part
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"(?i)content-length:\s*(\d+)", head).group(1))
+    while len(body) < length:
+        part = sock.recv(65536)
+        if not part:
+            raise ConnectionError("peer closed mid-body")
+        body += part
+    return head + b"\r\n\r\n" + body
+
+
+class RawReplica:
+    """A loopback listener that hands each connection to :meth:`handle`."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.connections = 0
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            with conn:
+                conn.settimeout(10)
+                try:
+                    self.handle(conn)
+                except OSError:
+                    pass  # the client gave up; wait for the next one
+
+    def handle(self, conn: socket.socket) -> None:
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stop.set()
+        self.thread.join(10)
+        self.listener.close()
+
+
+class HangUpProxy(RawReplica):
+    """Relays one request per connection to ``upstream``, then hangs up."""
+
+    def __init__(self, upstream: str):
+        split = urlsplit(upstream)
+        self.upstream = (split.hostname, split.port)
+        super().__init__()
+
+    def handle(self, conn):
+        request = read_message(conn)
+        with socket.create_connection(self.upstream, timeout=10) as upstream:
+            upstream.sendall(request)
+            conn.sendall(read_message(upstream))
+
+
+class DripReplica(RawReplica):
+    """Sends a 200's headers at once, then its body a byte per ``interval``."""
+
+    def __init__(self, interval: float, length: int = 100):
+        self.interval, self.length = interval, length
+        super().__init__()
+
+    def handle(self, conn):
+        read_message(conn)
+        conn.sendall(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % self.length
+        )
+        for _ in range(self.length):
+            if self.stop.wait(self.interval):
+                return
+            conn.sendall(b" ")
+
+
 class TestFleet:
     def fleet_backend(self, urls, **kwargs):
         kwargs.setdefault("backoff_base", 0.01)
         kwargs.setdefault("rng", random.Random(7))
         config_kwargs = {
             k: kwargs.pop(k)
-            for k in ("timeout", "retries", "compression", "state_dtype",
-                      "pool_size")
+            for k in ("timeout", "retries", "compression", "state_dtype")
             if k in kwargs
         }
         config_kwargs.setdefault("timeout", 10.0)
@@ -556,20 +649,50 @@ class TestFleet:
         return model, token_lists_for(model, small_tables(6))
 
     def test_keep_alive_connections_reused(self, service, bert_lists):
+        # Two synchronous calls: the second takes the first's idle
+        # connection instead of opening its own.
         model, token_lists = bert_lists
         backend = fast_remote(service)
-
-        async def run():
-            try:
-                await backend.aencode_batch(model.encoder, token_lists, 4)
-                await backend.aencode_batch(model.encoder, token_lists, 4)
-            finally:
-                backend.close()  # pooled sockets must not outlive this loop
-
-        asyncio.run(run())
+        backend.encode_batch(model.encoder, token_lists, 4)
+        backend.encode_batch(model.encoder, token_lists, 4)
+        backend.close()
         stats = backend.stats_snapshot()
         assert stats.connections_opened == 1
         assert stats.connections_reused >= 1
+
+    def test_idle_connection_closed_by_replica_costs_no_retry(self, service, bert_lists):
+        # The proxy hangs up after each response, without saying so in a
+        # header: the second call's reused connection is dead before its
+        # status line, and one fresh connection replaces it.
+        model, token_lists = bert_lists
+        local = LocalBackend().encode_batch(model.encoder, token_lists, 4)
+        with HangUpProxy(service.url) as proxy:
+            backend = self.fleet_backend([proxy.url])
+            for _ in range(2):
+                states = backend.encode_batch(model.encoder, token_lists, 4)
+                for base, got in zip(local, states):
+                    assert np.array_equal(base, got)
+            backend.close()
+        stats = backend.stats_snapshot()
+        assert proxy.connections == 2
+        assert stats.retries == 0 and stats.chunks == 2
+        assert stats.replicas[proxy.url].errors == 0
+        assert stats.connections_opened == 2 and stats.connections_reused == 1
+
+    def test_dripping_body_times_out_within_the_attempt(self, bert_lists):
+        # Every byte arrives well within the timeout; only the attempt's
+        # whole budget, re-armed before each read, stops the drip.
+        model, token_lists = bert_lists
+        with DripReplica(interval=0.1) as replica:
+            backend = self.fleet_backend([replica.url], timeout=0.5, retries=0)
+            started = time.monotonic()
+            with pytest.raises(RemoteEncodeError, match="deadline"):
+                backend.encode_batch(model.encoder, token_lists, 4)
+            elapsed = time.monotonic() - started
+        stats = backend.stats_snapshot()
+        assert stats.timeouts == 1
+        assert stats.replicas[replica.url].errors == 1
+        assert 0.45 <= elapsed < 1.5, elapsed
 
     def test_gzip_round_trip_bit_identical_and_smaller(self, bert_lists):
         model, token_lists = bert_lists
@@ -747,7 +870,6 @@ class TestFleet:
                 "--remote-url", "http://b:2",
                 "--remote-compression", "gzip",
                 "--remote-state-dtype", "float32",
-                "--remote-pool-size", "2",
                 "--remote-timeout", "5",
             ]
         )
@@ -757,7 +879,6 @@ class TestFleet:
             timeout=5.0,
             compression="gzip",
             state_dtype="float32",
-            pool_size=2,
         )
         plain = _build_parser().parse_args(["sweep", "--models", "bert"])
         assert _transport_from_args(plain) is None

@@ -727,6 +727,47 @@ class TestServeCli:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
 
+    def test_serve_handles_signals_from_its_announcement_on(self, tmp_path, monkeypatch):
+        # A caller may send SIGTERM the moment it reads "listening on", so
+        # the handler must already be installed when that line is written.
+        # Runs in process and invokes the installed handler directly: no
+        # real signal reaches the test process, whatever the order.
+        from repro.cli import main
+
+        default = signal.getsignal(signal.SIGTERM)
+
+        def installed():
+            handler = signal.getsignal(signal.SIGTERM)
+            return handler if callable(handler) and handler is not default else None
+
+        def stop_when_installed():
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                handler = installed()
+                if handler is not None:
+                    handler(signal.SIGTERM, None)
+                    return
+                time.sleep(0.01)
+
+        at_announcement = []
+
+        class Stdout:
+            def write(self, text):
+                if "listening on" in text:
+                    at_announcement.append(installed() is not None)
+                    threading.Thread(target=stop_when_installed, daemon=True).start()
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        rc = main(["--tables", "3", "--permutations", "4", "serve", "--port", "0",
+                   "--state-dir", str(tmp_path / "state")])
+        assert rc == 0
+        assert at_announcement == [True]
+        assert signal.getsignal(signal.SIGTERM) is default  # restored on exit
+
     def test_serve_exits_2_on_non_positive_sweep_workers(self, tmp_path):
         # Refused before the service binds, not by every job it would run.
         # A subprocess, so a service that does start cannot hang the suite.
