@@ -188,12 +188,6 @@ def render_sweep(sweep: SweepResult) -> str:
             f"({pipe.sequences} sequences), {pipe.encode_seconds:.2f}s encoding, "
             f"{pipe.overlap_ratio:.1%} overlapped with CPU work."
         )
-    if sweep.padding is not None:
-        pad = sweep.padding
-        lines.append(
-            f"Padded batching: {pad.padded_batches} mixed-length batches "
-            f"({pad.sequences} sequences), {pad.waste_ratio:.1%} padding waste."
-        )
     if sweep.transport is not None:
         net = sweep.transport
         lines.append(

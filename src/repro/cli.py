@@ -17,14 +17,13 @@ skipped cells, cache effectiveness, the encoder backend, and the slowest
 cells; ``--execution process`` runs the work-stealing scheduler across
 spawned worker processes (sharing the ``--disk-cache`` tier, bounded by
 ``--cache-max-bytes``/``--cache-max-age``; the report gains per-worker
-busy/steal utilization lines), ``--no-exact`` (or
-``--backend padded``) opts into padded tolerance-tier batching for
-throughput on heterogeneous-length corpora, ``--backend remote
+busy/steal utilization lines), ``--backend remote
 --remote-url http://host:port`` farms encoder forward passes to an HTTP
 encoding fleet (repeat ``--remote-url`` per replica;
 ``--remote-timeout``/``--remote-retries`` bound the transport,
 ``--remote-compression gzip`` shrinks wire bytes, ``--remote-state-dtype
-float32`` halves state bytes within tolerance), ``--no-async`` disables
+float32`` halves state bytes within tolerance, the one opt-in tolerance
+tier; every other setting is bit-exact), ``--no-async`` disables
 the streaming encode pipeline, and ``--no-cache`` falls back to the
 legacy one-call-at-a-time execution for comparison.  ``--journal DIR``
 write-ahead-journals every completed cell so a killed sweep resumes with
@@ -144,14 +143,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend",
-        choices=["local", "padded", "remote"],
+        choices=["local", "remote"],
         default=None,
         help=(
             "encoder backend: 'local' batches same-length sequences only "
-            "(bit-exact), 'padded' batches mixed lengths inside tolerance "
-            "tiers, 'remote' ships batches over HTTP to an encoding "
-            "service (--remote-url; bit-exact unless --no-exact) "
-            "(default: derived from --exact/--no-exact)"
+            "(bit-exact), 'remote' ships batches over HTTP to an encoding "
+            "service (--remote-url; bit-exact unless --remote-state-dtype "
+            "float32) (default: local)"
         ),
     )
     sweep.add_argument(
@@ -199,27 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "floating-point tier hidden states ride the wire in: float64 "
             "is bit-exact, float32 halves state bytes within the documented "
-            "tolerance and requires --no-exact (default float64)"
+            "tolerance (default float64)"
         ),
-    )
-    sweep.add_argument(
-        "--exact",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "numerics mode: --exact (the default) keeps embeddings "
-            "bit-identical to unbatched encoding; --no-exact opts into "
-            "padded batching within the documented ~1e-15 tolerance for "
-            "throughput on heterogeneous-length corpora.  Unset, it is "
-            "derived from --backend (padded implies --no-exact)"
-        ),
-    )
-    sweep.add_argument(
-        "--padding-tier",
-        type=int,
-        default=8,
-        metavar="TOKENS",
-        help="tier width of the padded backend (default 8)",
     )
     sweep.add_argument(
         "--no-async",
@@ -515,14 +494,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             raise ObservatoryError(f"unknown properties: {sorted(unknown)}")
     try:
         transport = _transport_from_args(args)
-        # Unset --exact/--no-exact follows the backend and the wire tier:
-        # an explicit `--backend padded` alone must work (padded implies
-        # non-exact), as must `--remote-state-dtype float32` (a tolerance
-        # tier by definition) — while `--exact --backend padded` and
-        # `--exact --remote-state-dtype float32` still error.
-        exact = args.exact
-        if exact is None:
-            exact = args.backend != "padded" and args.remote_state_dtype != "float32"
         runtime = RuntimeConfig(
             enabled=not args.no_cache,
             batch_size=args.batch_size,
@@ -531,9 +502,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             cache_max_age=args.cache_max_age,
             max_workers=args.workers,
             execution=args.execution,
-            exact=exact,
             backend=args.backend,
-            padding_tier=args.padding_tier,
             async_encode=not args.no_async,
             transport=transport,
         )

@@ -184,9 +184,9 @@ class Observatory:
 
         The kinds: ``cache`` (while the runtime cache is on), ``pipeline``
         (:meth:`pipeline_stats`), and the encoder backend's
-        ``counters_kind`` — ``padding`` (padded) or ``transport``
-        (remote).  A sweep diffs two snapshots; process-sweep workers
-        ship theirs back to be merged kind by kind.
+        ``counters_kind`` — ``transport`` for the remote backend.  A sweep
+        diffs two snapshots; process-sweep workers ship theirs back to be
+        merged kind by kind.
         """
         out: Dict[str, Counters] = {"pipeline": self.pipeline_stats()}
         if self.cache is not None:

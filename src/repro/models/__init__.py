@@ -11,7 +11,6 @@ space shared across models.
 from repro.models.backends import (
     EncoderBackend,
     LocalBackend,
-    PaddedBackend,
     RemoteBackend,
     TransportStats,
     available_backends,
@@ -29,7 +28,6 @@ __all__ = [
     "ModelConfig",
     "EmbeddingModel",
     "LevelBatchPlan",
-    "PaddedBackend",
     "RemoteBackend",
     "SurrogateModel",
     "Token",

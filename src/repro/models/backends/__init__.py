@@ -4,19 +4,15 @@ The batching strategy of every surrogate encoder is a swappable
 :class:`EncoderBackend`:
 
 - :class:`LocalBackend` (``"local"``) — exact same-length batching,
-  bit-identical to single-sequence encoding.  The default.
-- :class:`PaddedBackend` (``"padded"``) — length-bucketed padded batching
-  with attention-masked padding; within the documented
-  :data:`PADDED_TOLERANCE` of exact, and much faster on
-  heterogeneous-length corpora.  Opt in via ``RuntimeConfig(exact=False)``.
+  bit-identical to single-sequence encoding.  The default, and the only
+  in-process numerics mode.
 - :class:`RemoteBackend` (``"remote"``) — ships TokenArray wire payloads
   over HTTP to a fleet of encoding replicas (one whole chunk per request,
   routed by per-replica latency, idle keep-alive connections shared by
   every call, retry/backoff with rerouting, quarantine of failing
-  replicas, gzip and float32 wire tiers); bit-identical to local in exact
-  float64 mode, within :data:`PADDED_TOLERANCE` /
-  :data:`FLOAT32_TOLERANCE` in the opt-in tiers.  Configured by a typed
-  :class:`TransportConfig`; opt in via
+  replicas, gzip and float32 wire tiers); bit-identical to local with
+  float64 states, within :data:`FLOAT32_TOLERANCE` in the opt-in float32
+  tier.  Configured by a typed :class:`TransportConfig`; opt in via
   ``RuntimeConfig(backend="remote", transport=TransportConfig(urls=...))``.
 
 Backends also expose ``aencode_batch`` (awaitable encoding), the hook the
@@ -31,18 +27,8 @@ from typing import Callable, Dict, List, Union
 from repro.errors import ModelError
 from repro.models.backends.base import BATCH_MAX_LENGTH, EncoderBackend
 from repro.models.backends.local import LocalBackend
-from repro.models.backends.padded import (
-    DEFAULT_TIER_WIDTH,
-    PADDED_TOLERANCE,
-    PaddedBackend,
-    PaddingStats,
-    max_relative_error,
-)
 
-_FACTORIES: Dict[str, Callable[[], EncoderBackend]] = {
-    "local": LocalBackend,
-    "padded": PaddedBackend,
-}
+_FACTORIES: Dict[str, Callable[[], EncoderBackend]] = {"local": LocalBackend}
 
 
 def available_backends() -> List[str]:
@@ -83,6 +69,7 @@ from repro.models.backends.remote import (  # noqa: E402
     RemoteBackend,
     ReplicaStats,
     TransportStats,
+    max_relative_error,
 )
 from repro.models.backends.transport import TransportConfig  # noqa: E402
 
@@ -90,13 +77,9 @@ register_backend("remote", RemoteBackend)
 
 __all__ = [
     "BATCH_MAX_LENGTH",
-    "DEFAULT_TIER_WIDTH",
     "EncoderBackend",
     "FLOAT32_TOLERANCE",
     "LocalBackend",
-    "PADDED_TOLERANCE",
-    "PaddedBackend",
-    "PaddingStats",
     "REMOTE_URL_ENV",
     "RemoteBackend",
     "ReplicaStats",

@@ -2,15 +2,12 @@
 
 An :class:`EncoderBackend` owns the *batching strategy* of an
 :class:`~repro.models.encoder.Encoder`: given many token sequences, it
-decides how they are grouped, padded (or not), and driven through the
-encoder's one forward (``encode`` for one sequence, ``forward_batch``,
-alias ``forward_padded``, for a stack).  The encoder keeps the
-transformer math; the backend keeps the scheduling policy.  This is the
-seam that lets the runtime swap exact same-length batching
-(:class:`LocalBackend`) for padded tolerance-tier batching
-(:class:`PaddedBackend`, the same grouping loop keyed by length tiers)
-or a remote encoder fleet without touching models, properties, or the
-planner.
+decides how they are grouped and driven through the encoder's one
+forward (``encode`` for one sequence, ``forward_batch`` for a stack of
+same-length ones).  The encoder keeps the transformer math; the backend
+keeps the scheduling policy.  This is the seam that lets the runtime
+swap exact same-length batching (:class:`LocalBackend`) for a remote
+encoder fleet without touching models, properties, or the planner.
 
 Every backend also exposes :meth:`aencode_batch`, the awaitable variant
 the streaming executor drives.  It offloads the synchronous
@@ -43,7 +40,7 @@ class EncoderBackend(abc.ABC):
     """Batching strategy for an :class:`~repro.models.encoder.Encoder`.
 
     Attributes:
-        name: registry name of the strategy (``"local"``, ``"padded"``).
+        name: registry name of the strategy (``"local"``, ``"remote"``).
         exact: whether outputs are bit-identical to encoding each sequence
             alone with :meth:`Encoder.encode`.  Non-exact backends must
             document a per-element ``tolerance`` bound instead.
@@ -77,9 +74,8 @@ class EncoderBackend(abc.ABC):
         """Encode every sequence; results in input order.
 
         ``encoder`` is the owning :class:`~repro.models.encoder.Encoder`;
-        backends call its ``encode`` and ``forward_batch``/``forward_padded``
-        (one function under two names) rather than reimplementing the
-        transformer.
+        backends call its ``encode`` and ``forward_batch`` rather than
+        reimplementing the transformer.
         """
 
     async def aencode_batch(

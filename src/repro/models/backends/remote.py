@@ -37,16 +37,13 @@ Everything about the transport is configured through one typed object,
   inflate raw bytes by ~33%; gzip claws that back and more.
 - **State tier** (``state_dtype="float32"``): hidden states ride the
   wire as little-endian float32, halving state bytes within the
-  documented :data:`FLOAT32_TOLERANCE` — the same opt-in tolerance-tier
-  contract :data:`~repro.models.backends.padded.PADDED_TOLERANCE`
-  established.  Requires ``exact=False``; exactness is a promise.
+  documented :data:`FLOAT32_TOLERANCE`.  The tree's one tolerance tier:
+  setting it alone makes the backend non-exact.
 
 Protocol (one ``POST {url}/encode`` per chunk)::
 
     request:  {"protocol": 2,
                "model": ModelConfig.to_jsonable(),
-               "mode": "exact" | "padded",
-               "padding_tier": int,
                "batch_size": int,
                "state_dtype": "float64" | "float32",
                "sequences": [wire_to_jsonable(ta.to_wire()), ...]}
@@ -77,11 +74,13 @@ Failure semantics, by class:
   message.
 
 Numerics: the service runs the same deterministic surrogate encoder
-(rebuilt from the shipped :class:`ModelConfig`), so ``mode="exact"``
-float64 results are **bit-identical** to :class:`LocalBackend`,
-``mode="padded"`` stays within :data:`PADDED_TOLERANCE`, and the float32
-tier within :data:`FLOAT32_TOLERANCE` — the loopback double
-(:mod:`repro.testing.encoder_service`) locks all three in.
+(rebuilt from the shipped :class:`ModelConfig`) with exact same-length
+batching, so float64 results are **bit-identical** to
+:class:`LocalBackend` and the float32 tier stays within
+:data:`FLOAT32_TOLERANCE` — the loopback double
+(:mod:`repro.testing.encoder_service`) locks both in.  Requests name no
+batching mode.  Older clients send ``"mode": "exact"``, which a service
+still accepts; it refuses any other mode with a 400.
 
 All transport accounting lands in a :class:`TransportStats` — including
 a per-replica breakdown — that the sweep report surfaces.
@@ -109,7 +108,6 @@ import numpy as np
 
 from repro.errors import DeadlineExceededError, ModelError, RemoteEncodeError
 from repro.models.backends.base import EncoderBackend
-from repro.models.backends.padded import DEFAULT_TIER_WIDTH, PADDED_TOLERANCE
 from repro.models.backends.transport import TransportConfig
 from repro.models.token_array import TokenArray, TokenSequence, wire_to_jsonable
 from repro.telemetry import Counters
@@ -125,8 +123,24 @@ PROTOCOL_VERSION = 2
 #: Per-element relative tolerance of the float32 state tier: float64
 #: states rounded to float32 on the wire carry at most ~6e-8 relative
 #: rounding error per element; 1e-6 leaves margin for accumulation in
-#: downstream pooling.  Same opt-in contract as ``PADDED_TOLERANCE``.
+#: downstream pooling.  Checked with :func:`max_relative_error`.
 FLOAT32_TOLERANCE = 1e-6
+
+
+def max_relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
+    """Per-element error of ``actual`` relative to ``expected``'s magnitude.
+
+    The float32 tier's contract is
+    ``max_relative_error(float32_states, exact_states) <= FLOAT32_TOLERANCE``.
+    Magnitude is the max absolute value of the exact output (floored at
+    1.0), so the bound is meaningful for both normalized and anisotropic
+    output scales.
+    """
+    if actual.size == 0:
+        return 0.0
+    scale = max(1.0, float(np.abs(expected).max()))
+    return float(np.abs(actual - expected).max()) / scale
+
 
 #: First backoff delay; doubles per retry up to the cap, ±50% jitter.
 DEFAULT_BACKOFF = 0.05
@@ -303,12 +317,9 @@ class RemoteBackend(EncoderBackend):
         config: the fleet's :class:`TransportConfig`; ``None`` reads the
             replica URLs from the ``REPRO_REMOTE_URL`` environment
             variable (comma-separated URLs configure a fleet) and keeps
-            every other transport default.
-        exact: request bit-exact same-length batching on the service
-            (``mode="exact"``); ``False`` requests padded tolerance
-            tiers.  The backend's *overall* exactness contract also
-            requires ``state_dtype="float64"``.
-        padding_tier: tier width the service pads within when non-exact.
+            every other transport default.  Its ``state_dtype`` decides
+            exactness: ``"float64"`` is bit-identical to local,
+            ``"float32"`` is within :data:`FLOAT32_TOLERANCE`.
         backoff_base: first retry's backoff delay (tests shrink it).
         quarantine_seconds: how long a replica stays quarantined after
             :data:`QUARANTINE_AFTER` failures in a row (tests shrink it).
@@ -322,8 +333,6 @@ class RemoteBackend(EncoderBackend):
         self,
         config: Optional[TransportConfig] = None,
         *,
-        exact: bool = True,
-        padding_tier: int = DEFAULT_TIER_WIDTH,
         backoff_base: float = DEFAULT_BACKOFF,
         quarantine_seconds: float = QUARANTINE_SECONDS,
         rng: Optional[random.Random] = None,
@@ -345,19 +354,10 @@ class RemoteBackend(EncoderBackend):
                 f"config must be a TransportConfig, got {type(config).__name__}"
             )
         self.config = config
-        #: Batching mode requested of the service ("exact" = same-length
-        #: batching, bit-identical on the service side).
-        self.exact_mode = bool(exact)
-        #: The backend-contract exactness: bit-identical end to end needs
-        #: exact batching *and* float64 states on the wire.
-        self.exact = self.exact_mode and config.state_dtype == "float64"
-        tolerance = 0.0
-        if not self.exact_mode:
-            tolerance += PADDED_TOLERANCE
-        if config.state_dtype == "float32":
-            tolerance += FLOAT32_TOLERANCE
-        self.tolerance = tolerance if tolerance else None
-        self.padding_tier = padding_tier
+        #: The service batches exactly, so float64 states are bit-identical
+        #: end to end; the float32 tier is the one tolerance.
+        self.exact = config.state_dtype == "float64"
+        self.tolerance = None if self.exact else FLOAT32_TOLERANCE
         self.backoff_base = backoff_base
         self.quarantine_seconds = quarantine_seconds
         self._rng = rng or random.Random()
@@ -390,24 +390,17 @@ class RemoteBackend(EncoderBackend):
     def cache_namespace(self) -> str:
         """Remote results always live in their own cache key space.
 
-        Exact-mode float64 responses are bit-identical to local by
-        contract, but the producer is a network service outside this
-        process's trust boundary — the same isolation rule PR 3 applied
-        to tolerance tiers keeps a misbehaving service from poisoning the
-        local/exact namespace through a shared or persistent cache.  The
-        float32 tier gets its own suffix for the same reason tiers do.
+        Float64 responses are bit-identical to local by contract, but
+        the producer is a network service outside this process's trust
+        boundary, so isolating it keeps a misbehaving service from
+        poisoning the local/exact namespace through a shared or
+        persistent cache.  The float32 tier gets its own suffix so
+        tolerance-tier states never cross into an exact run.
         """
-        space = "remote" if self.exact_mode else "remote+padded"
-        if self.config.state_dtype == "float32":
-            space += "+f32"
-        return space
+        return "remote" if self.exact else "remote+f32"
 
     def describe(self) -> str:
-        mode = (
-            "exact"
-            if self.exact_mode
-            else f"padded tier={self.padding_tier} tol={PADDED_TOLERANCE:g}"
-        )
+        mode = "exact" if self.exact else f"tol={self.tolerance:g}"
         detail = self.config.describe()
         target = self.config.urls[0] if len(self.config.urls) == 1 else "fleet"
         return f"{self.name} ({mode}, {detail}, {target})"
@@ -450,8 +443,6 @@ class RemoteBackend(EncoderBackend):
             {
                 "protocol": PROTOCOL_VERSION,
                 "model": encoder.config.to_jsonable(),
-                "mode": "exact" if self.exact_mode else "padded",
-                "padding_tier": self.padding_tier,
                 "batch_size": batch_size,
                 "state_dtype": self.config.state_dtype,
                 "sequences": [wire_to_jsonable(w) for w in wires],

@@ -26,8 +26,8 @@ COMPRESSIONS = ("none", "gzip")
 
 #: Floating-point tiers hidden states may ride the wire in.  ``"float64"``
 #: is bit-exact; ``"float32"`` halves state bytes at the documented
-#: :data:`~repro.models.backends.remote.FLOAT32_TOLERANCE` — the same
-#: opt-in tolerance-tier contract the padded backend established.
+#: :data:`~repro.models.backends.remote.FLOAT32_TOLERANCE`, an opt-in
+#: tolerance tier.
 STATE_DTYPES = ("float64", "float32")
 
 DEFAULT_TIMEOUT = 10.0
@@ -65,8 +65,8 @@ class TransportConfig:
             request *and* response bodies (opt-in; the service only
             compresses when the client advertises it).
         state_dtype: ``"float64"`` (bit-exact) or ``"float32"`` (half the
-            state bytes, within the documented tolerance; requires
-            ``RuntimeConfig(exact=False)`` — exactness is a promise).
+            state bytes, within the documented tolerance; choosing it is
+            the whole opt-in).
     """
 
     urls: Tuple[str, ...]

@@ -144,9 +144,10 @@ class SurrogateModel(EmbeddingModel):
         return self.encoder.backend
 
     def set_backend(self, backend) -> "SurrogateModel":
-        """Swap the batching strategy; embeddings of the exact (local)
-        backend are bit-identical, padded backends are within their
-        documented tolerance.  Returns self for chaining."""
+        """Swap the batching strategy; embeddings of an exact backend
+        (local, or remote with float64 states) are bit-identical, the
+        remote float32 tier is within its documented tolerance.  Returns
+        self for chaining."""
         self.encoder.backend = resolve_backend(backend)
         return self
 
@@ -310,9 +311,9 @@ class SurrogateModel(EmbeddingModel):
         ``levels_list[i]`` names the levels wanted for ``tables[i]``.  All
         tables are serialized up front (:meth:`serialize_levels`) and
         driven through :meth:`Encoder.encode_batch`, whose configured
-        backend batches the transformer math — the exact local backend is
-        numerically identical to encoding each table alone; a padded
-        backend is within its documented tolerance.
+        backend batches the transformer math — an exact backend is
+        numerically identical to encoding each table alone; the remote
+        float32 tier is within its documented tolerance.
         """
         plan = self.serialize_levels(tables, levels_list)
         if plan is None:

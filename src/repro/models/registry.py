@@ -44,7 +44,7 @@ def load_model(name: str, *, backend=None) -> EmbeddingModel:
 
     ``backend`` optionally selects the encoder batching strategy — a
     :class:`~repro.models.backends.EncoderBackend` instance or registered
-    backend name (``"local"``/``"padded"``).  Only models that expose
+    backend name (``"local"``/``"remote"``).  Only models that expose
     ``set_backend`` (the surrogates) accept one; passing a backend to a
     custom registered model without that hook is an error rather than a
     silent no-op.

@@ -41,10 +41,8 @@ import repro.telemetry as telemetry
 from repro.core.levels import EmbeddingLevel
 from repro.errors import ModelError
 from repro.models.backends import (
-    DEFAULT_TIER_WIDTH,
     EncoderBackend,
     LocalBackend,
-    PaddedBackend,
     TransportConfig,
     available_backends,
 )
@@ -98,24 +96,17 @@ class RuntimeConfig:
             from the work-stealing scheduler, sharing only the disk
             tier).  ``None`` defers to the ``REPRO_SWEEP_EXECUTION``
             environment variable, falling back to ``"thread"``.
-        exact: numerics mode.  ``True`` (default) keeps every embedding
-            bit-identical to single-sequence encoding (same-length
-            batching only).  ``False`` opts into the padded backend:
-            heterogeneous-length sequences are batched inside tolerance
-            tiers, within the documented per-element
-            :data:`~repro.models.backends.PADDED_TOLERANCE` of exact.
-        backend: explicit encoder backend name (``"local"``/``"padded"``/
-            ``"remote"`` or anything registered); ``None`` derives it from
-            ``exact``.  Naming a non-exact backend with ``exact=True`` is
-            rejected — exactness is a promise, not a preference.
-        padding_tier: tier width in tokens for the padded backend (also
-            forwarded to the service when the remote backend runs in
-            padded mode).
+        backend: encoder backend name (``"local"``/``"remote"`` or
+            anything registered); ``None`` means ``"local"``, exact
+            same-length batching, bit-identical to single-sequence
+            encoding.
         transport: the remote encoder fleet's
             :class:`~repro.models.backends.TransportConfig` — replica
-            URLs, timeout/retries, compression, state dtype, and pool
-            size in one typed object (``backend="remote"``).  ``None``
-            with ``backend="remote"`` falls back to ``$REPRO_REMOTE_URL``.
+            URLs, timeout/retries, compression and state dtype in one
+            typed object (``backend="remote"``).  Its
+            ``state_dtype="float32"`` is the one tolerance tier.
+            ``None`` with ``backend="remote"`` falls back to
+            ``$REPRO_REMOTE_URL``.
         async_encode: stream encoder batches through the background
             asyncio encode loop so serialization/fingerprinting of the
             next chunk overlaps the current chunk's forward passes.
@@ -135,9 +126,7 @@ class RuntimeConfig:
     cache_max_age: Optional[float] = None
     max_workers: Optional[int] = None
     execution: Optional[str] = None
-    exact: bool = True
     backend: Optional[str] = None
-    padding_tier: int = DEFAULT_TIER_WIDTH
     async_encode: bool = True
     transport: Optional[TransportConfig] = None
 
@@ -156,8 +145,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"execution must be 'thread' or 'process', got {self.execution!r}"
             )
-        if self.padding_tier < 1:
-            raise ValueError("padding_tier must be positive")
         if self.transport is not None and not isinstance(self.transport, TransportConfig):
             raise ValueError(
                 "transport must be a TransportConfig or None, "
@@ -170,31 +157,20 @@ class RuntimeConfig:
                     f"available: {', '.join(available_backends())}"
                 )
             # Probe the actual backend rather than special-casing names:
-            # misconfiguration (a remote backend without a URL) and
-            # non-exact backends under exact=True must both fail at
-            # configuration time, not mid-sweep.  Exactness is a promise,
-            # not a preference.
+            # misconfiguration (a remote backend without a URL) must fail
+            # at configuration time, not mid-sweep.
             try:
-                probe = self.build_backend()
+                self.build_backend()
             except ModelError as error:
                 raise ValueError(str(error)) from None
-            if self.exact and not probe.exact:
-                raise ValueError(
-                    f"backend={self.backend!r} is not exact; pass "
-                    "exact=False to opt into tolerance batching"
-                )
 
     def backend_name(self) -> str:
-        """The resolved backend: explicit name, else derived from exact."""
-        if self.backend is not None:
-            return self.backend
-        return "local" if self.exact else "padded"
+        """The resolved backend: the explicit name, else ``"local"``."""
+        return self.backend or "local"
 
     def build_backend(self) -> EncoderBackend:
         """One backend instance per call (stats are per-instance)."""
         name = self.backend_name()
-        if name == "padded":
-            return PaddedBackend(tier_width=self.padding_tier)
         if name == "local":
             return LocalBackend()
         if name == "remote":
@@ -202,11 +178,7 @@ class RuntimeConfig:
 
             # transport=None falls through to RemoteBackend's own
             # $REPRO_REMOTE_URL fallback.
-            return RemoteBackend(
-                config=self.transport,
-                exact=self.exact,
-                padding_tier=self.padding_tier,
-            )
+            return RemoteBackend(config=self.transport)
         from repro.models.backends import resolve_backend
 
         return resolve_backend(name)

@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import repro.telemetry as telemetry
 from repro.core.results import PropertyResult, SkippedCell
 from repro.errors import CellExecutionError, ObservatoryError
-from repro.models.backends.padded import PaddingStats
 from repro.models.backends.remote import TransportStats
 from repro.models.blas import blas_regime
 from repro.runtime.cache import CacheStats
@@ -280,7 +279,7 @@ class SweepResult:
         seconds: wall-clock of the whole sweep.
         workers: worker-pool size used (threads or processes).
         execution: engine that ran the cells (``"thread"``/``"process"``).
-        backend: encoder-backend description (name, tier width, tolerance)
+        backend: encoder-backend description (name and numerics mode)
             the sweep's embeddings went through.
         blas: the BLAS regime that computed them
             (:func:`~repro.models.blas.blas_regime`: OpenBLAS core and
@@ -288,7 +287,7 @@ class SweepResult:
         counters: this sweep's runtime counters by kind (the kinds of
             :meth:`~repro.core.framework.Observatory.counters`), merged
             across worker processes; read them as :attr:`cache_stats`,
-            :attr:`pipeline`, :attr:`padding` and :attr:`transport`
+            :attr:`pipeline` and :attr:`transport`
             (``None`` when absent).  A kind is present when any of its
             counters moved; the cache whenever it is on, and under the
             thread engine with the shared cache's cumulative totals.
@@ -317,10 +316,6 @@ class SweepResult:
     @property
     def pipeline(self) -> Optional[PipelineStats]:
         return self.counters.get("pipeline")
-
-    @property
-    def padding(self) -> Optional[PaddingStats]:
-        return self.counters.get("padding")
 
     @property
     def transport(self) -> Optional[TransportStats]:
@@ -374,8 +369,8 @@ class SweepResult:
             "execution": self.execution,
             "backend": self.backend,
             "blas": self.blas,
-            # Readers expect all four keys; a kind that did not move is None.
-            **dict.fromkeys(("cache", "pipeline", "padding", "transport")),
+            # Readers expect all three keys; a kind that did not move is None.
+            **dict.fromkeys(("cache", "pipeline", "transport")),
             **{kind: stats.to_dict() for kind, stats in self.counters.items()},
             "scheduler": self.scheduler.to_dict() if self.scheduler else None,
         }

@@ -9,8 +9,8 @@ service mounts the same endpoint, so a ``repro serve`` instance doubles
 as an encoder-fleet replica — and there is exactly one implementation of
 the wire semantics to keep honest.
 
-:class:`EncoderPool` caches one rebuilt encoder per (model config,
-backend mode, padding tier); :meth:`EncoderPool.encode_request` runs one
+:class:`EncoderPool` caches one rebuilt encoder per model config, each on
+the exact local backend; :meth:`EncoderPool.encode_request` runs one
 request end to end and returns the jsonable response body.  Fault
 injection stays where it belongs — in
 :mod:`repro.testing.encoder_service`, layered *around* these semantics.
@@ -22,12 +22,10 @@ import base64
 import hashlib
 import json
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.models.backends.local import LocalBackend
-from repro.models.backends.padded import PaddedBackend
 from repro.models.backends.remote import PROTOCOL_VERSION
 from repro.models.config import ModelConfig
 from repro.models.encoder import Encoder
@@ -56,9 +54,9 @@ def state_entry(
 class EncoderPool:
     """Encoders rebuilt from shipped :class:`ModelConfig`, cached per key.
 
-    The cache key is (canonical config JSON, backend mode, padding tier)
-    — the full determinant of the encoder's numerics.  Thread-safe: the
-    HTTP plane dispatches requests on per-connection threads.
+    The cache key is the canonical config JSON — the full determinant of
+    the encoder's numerics.  Thread-safe: the HTTP plane dispatches
+    requests on per-connection threads.
 
     Attributes:
         requests_served: successful encode responses produced.
@@ -66,22 +64,16 @@ class EncoderPool:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._encoders: Dict[Tuple[str, str, int], Encoder] = {}
+        self._encoders: Dict[str, Encoder] = {}
         self.requests_served = 0
 
-    def encoder_for(self, config: ModelConfig, mode: str, tier: int) -> Encoder:
-        """One cached encoder per (model config, backend mode, tier)."""
-        key = (json.dumps(config.to_jsonable(), sort_keys=True), mode, tier)
+    def encoder_for(self, config: ModelConfig) -> Encoder:
+        """One cached encoder (local backend) per model config."""
+        key = json.dumps(config.to_jsonable(), sort_keys=True)
         with self._lock:
             encoder = self._encoders.get(key)
             if encoder is None:
-                backend = (
-                    PaddedBackend(tier_width=tier)
-                    if mode == "padded"
-                    else LocalBackend()
-                )
-                encoder = Encoder(config, backend=backend)
-                self._encoders[key] = encoder
+                encoder = self._encoders[key] = Encoder(config)
             return encoder
 
     def encode_request(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -97,16 +89,17 @@ class EncoderPool:
                 f"protocol mismatch: service speaks {ACCEPTED_PROTOCOLS}, "
                 f"request says {protocol!r}"
             )
+        # Older clients still send mode="exact", the one batching mode a
+        # service runs; any other mode is refused.
         mode = request.get("mode", "exact")
-        if mode not in ("exact", "padded"):
-            raise ValueError(f"unknown mode {mode!r}")
+        if mode != "exact":
+            raise ValueError(f"unsupported mode {mode!r}; only 'exact' is served")
         state_dtype = str(request.get("state_dtype", "float64"))
         if state_dtype not in ("float64", "float32"):
             raise ValueError(f"unknown state_dtype {state_dtype!r}")
         config = ModelConfig.from_jsonable(request["model"])
-        tier = int(request.get("padding_tier", 8))
         batch_size = int(request.get("batch_size", 8))
-        encoder = self.encoder_for(config, mode, tier)
+        encoder = self.encoder_for(config)
         arrays: List[TokenArray] = []
         digests: List[str] = []
         for payload in request["sequences"]:

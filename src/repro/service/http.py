@@ -39,9 +39,10 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import ObservatoryError, ServiceError, ServiceOverloadedError
@@ -173,6 +174,26 @@ class _PlaneHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # noqa: D102 - silence test/CI noise
         pass
 
+    # The plane tracks every open connection so close() can end the
+    # kept-alive ones; ThreadingHTTPServer tracks none of them.
+    def setup(self):
+        super().setup()
+        self.server.plane._track(self.connection)  # type: ignore[attr-defined]
+
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError:
+            # The peer reset the connection between requests, or close()
+            # shut it under a read: the connection is over, nothing failed.
+            self.close_connection = True
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            self.server.plane._untrack(self.connection)  # type: ignore[attr-defined]
+
     def do_GET(self):  # noqa: N802 - http.server API
         self._dispatch("GET")
 
@@ -286,6 +307,9 @@ class HttpPlane:
             ) from exc
         self._server.plane = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        self._closed = False
 
     # -- routing -------------------------------------------------------
 
@@ -324,10 +348,33 @@ class HttpPlane:
         host, port = self._server.server_address[:2]
         return f"http://{host}:{port}"
 
+    def _track(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            if not self._closed:
+                self._connections.add(connection)
+                return
+        _shut(connection)  # accepted while the plane was closing
+
+    def _untrack(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(connection)
+
     def close(self) -> None:
-        """Stop serving; raise typed if the server thread is wedged."""
-        self._server.shutdown()
+        """Stop serving and end every open connection, kept-alive ones too.
+
+        Raises typed if the server thread is wedged.
+        """
+        if self._thread is not None:
+            # shutdown() waits for serve_forever, which an unstarted or
+            # already closed plane is not running.
+            self._server.shutdown()
         self._server.server_close()
+        with self._connections_lock:
+            self._closed = True
+            live, self._connections = self._connections, set()
+        # Each handler thread then reads EOF and closes its own socket.
+        for connection in live:
+            _shut(connection)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             if self._thread.is_alive():
@@ -341,3 +388,10 @@ class HttpPlane:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _shut(connection: socket.socket) -> None:
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # its handler already closed it

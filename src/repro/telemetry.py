@@ -1,11 +1,11 @@
 """Runtime counters and thread-local phase timing for characterization cells.
 
 :class:`Counters` is the one model of the runtime's additive counters (the
-embedding cache, the async encode pipeline, padded batching, remote
-transport).  Each kind is a plain dataclass of numeric fields; merging
-across sweep workers, diffing against a before-snapshot, copying and
-serializing all work from those fields, so a new counter is one field
-declaration and a new kind is one subclass.
+embedding cache, the async encode pipeline, remote transport).  Each kind
+is a plain dataclass of numeric fields; merging across sweep workers,
+diffing against a before-snapshot, copying and serializing all work from
+those fields, so a new counter is one field declaration and a new kind is
+one subclass.
 
 A sweep cell's wall time splits into three phases: *serialize* (tables →
 token sequences, pure Python), *encode* (transformer forward passes,

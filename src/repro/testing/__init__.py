@@ -6,7 +6,10 @@ the TokenArray wire format — what integration tests (and the CI fleet
 smoke) point the ``"remote"`` encoder backend at.
 :class:`~repro.testing.encoder_service.FleetHarness` stands up several of
 them (one optionally slow or fault-injected) behind a single context
-manager for fleet-scheduling tests without real hosts.
+manager for fleet-scheduling tests without real hosts.  Import both from
+:mod:`repro.testing.encoder_service`: this package does not import that
+module, so ``python -m repro.testing.encoder_service`` runs it once, as
+``__main__``.
 :class:`~repro.testing.chaos.ChaosPlan` composes every fault injector —
 scheduler worker crashes/stalls, replica transport faults, torn cache
 writes, parent kill-points — into one seeded, replayable plan, and
@@ -23,12 +26,9 @@ from repro.testing.chaos import (
     kill_when_journal_reaches,
     kill_when_service_reaches,
 )
-from repro.testing.encoder_service import FleetHarness, LoopbackEncoderService
 
 __all__ = [
     "ChaosPlan",
-    "FleetHarness",
-    "LoopbackEncoderService",
     "assert_sweep_invariant",
     "count_journal_cells",
     "count_service_cells",

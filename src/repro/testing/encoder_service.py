@@ -8,8 +8,7 @@ built on the tree's shared HTTP plane
 semantics (:class:`~repro.service.encode.EncoderPool`): JSON requests
 carrying :func:`wire_to_jsonable` payloads in, base64 hidden states with
 digest echoes out.  Behind the wire it runs a **real**
-:class:`LocalBackend` (or :class:`PaddedBackend` when the request says
-``mode="padded"``) on an encoder rebuilt from the shipped
+:class:`LocalBackend` on an encoder rebuilt from the shipped
 :class:`ModelConfig` — so a test that compares remote against local
 results is comparing two independent processes' worth of state (interner,
 weights, content vectors) reconstructed from configuration, which is

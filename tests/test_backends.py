@@ -1,17 +1,14 @@
 """Numerics suite for the pluggable encoder backends.
 
-Locks in the two contracts of the backend seam:
-
-1. ``exact=True`` (the local backend) is **bit-identical** to encoding
-   every sequence alone — for any batch size, any grouping the chunked
-   streaming executor produces, and any model configuration;
-2. ``exact=False`` (the padded backend) stays within the documented
-   per-element tolerance (:data:`PADDED_TOLERANCE`) on randomly
-   heterogeneous-length corpora, for every tier width.
+Locks in the contract of the backend seam: the local backend is
+**bit-identical** to encoding every sequence alone — for any batch size,
+any grouping the chunked streaming executor produces, and any model
+configuration.  The stacked forward it batches with takes sequences of
+one length only.
 
 Corpora are generated by Hypothesis with random row counts, word shapes,
-and column counts so length collisions, tier boundaries, and the
-long-sequence fallback all get exercised.
+and column counts so length collisions and the long-sequence fallback
+both get exercised.
 """
 
 import asyncio
@@ -21,16 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.levels import EmbeddingLevel
 from repro.errors import ModelError
 from repro.models.backends import (
-    BATCH_MAX_LENGTH,
-    PADDED_TOLERANCE,
     LocalBackend,
-    PaddedBackend,
-    PaddingStats,
+    RemoteBackend,
+    TransportConfig,
     available_backends,
-    max_relative_error,
     register_backend,
     resolve_backend,
 )
@@ -156,11 +149,9 @@ class TestExactBitIdentity:
 )
 def test_folded_attention_across_forwards(position_kind, attention_mask, lengths, seed):
     """Every forward over the folded mask + bias term, for every positions x
-    mask pair: ``LocalBackend`` batches, ``forward_batch`` and
-    ``forward_padded`` over same-length groups, and a ``PaddedBackend``
-    whose tiers hold one length each equal the reference forward bit for
-    bit; ``forward_padded`` over mixed lengths stays within
-    :data:`PADDED_TOLERANCE`."""
+    mask pair: ``LocalBackend`` batches, and ``forward_batch`` under both of
+    its names over same-length groups, equal the reference forward bit for
+    bit."""
     encoder = attention_encoder(position_kind, attention_mask)
     tokens = [table_tokens(n, seed + i) for i, n in enumerate(lengths)]
     arrays = [TokenArray.from_tokens(t) for t in tokens]
@@ -174,115 +165,22 @@ def test_folded_attention_across_forwards(position_kind, attention_mask, lengths
         for forward in (encoder.forward_batch, encoder.forward_padded):
             for i, got in zip(same, forward(group)):
                 assert np.array_equal(got, reference[i])
-    # Same-length chunks need no padding, so the padded backend runs them
-    # unpadded: bit-identical, and nothing counted as waste.
-    one_length_tiers = PaddedBackend(tier_width=1)
-    for got, want in zip(one_length_tiers.encode_batch(encoder, arrays), reference):
-        assert np.array_equal(got, want)
-    assert one_length_tiers.stats_snapshot() == PaddingStats()
-    for got, want in zip(encoder.forward_padded(arrays), reference):
-        assert got.shape == want.shape
-        assert max_relative_error(got, want) <= PADDED_TOLERANCE
 
 
-class TestPaddedTolerance:
-    @given(
-        specs=table_specs,
-        tier_width=st.sampled_from([1, 2, 4, 8, 16]),
-        batch_size=st.sampled_from([2, 4, 16]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_padded_within_documented_tolerance(self, specs, tier_width, batch_size):
-        model = cached_model("bert")
-        token_lists = serialized(model, [make_table(s, i) for i, s in enumerate(specs)])
-        singles = [model.encoder.encode(toks) for toks in token_lists]
-        backend = PaddedBackend(tier_width=tier_width)
-        padded = backend.encode_batch(model.encoder, token_lists, batch_size=batch_size)
-        for single, pad in zip(singles, padded):
-            assert pad.shape == single.shape
-            assert max_relative_error(pad, single) <= PADDED_TOLERANCE
-
-    def test_padded_tolerance_across_model_families(self, all_model_names):
-        tables = [make_table((1 + i % 6, 1 + i % 3, 1 + i % 2), i) for i in range(10)]
-        backend = PaddedBackend(tier_width=8)
-        for name in all_model_names:
-            model = cached_model(name)
-            if not has_flat_serializer(model):
-                continue
-            token_lists = serialized(model, tables)
-            singles = [model.encoder.encode(toks) for toks in token_lists]
-            padded = backend.encode_batch(model.encoder, token_lists, batch_size=8)
-            for single, pad in zip(singles, padded):
-                assert max_relative_error(pad, single) <= PADDED_TOLERANCE
-
-    def test_forward_padded_masks_padding_completely(self, bert):
-        # Growing the batch with a *longer* partner must not change a
-        # sequence beyond tolerance: padding is masked out of attention.
-        short = bert._serializer.serialize(make_table((2, 1, 1), 0))
-        long = bert._serializer.serialize(make_table((7, 3, 2), 1))
-        alone = bert.encoder.encode(short)
-        padded = bert.encoder.forward_padded([short, long])[0]
-        assert padded.shape == alone.shape
-        assert max_relative_error(padded, alone) <= PADDED_TOLERANCE
-
-    def test_waste_stats_accumulate(self, bert):
-        backend = PaddedBackend(tier_width=8)
-        tables = [make_table((1 + i % 5, 1 + i % 2, 1), i) for i in range(12)]
-        token_lists = serialized(bert, tables)
-        backend.encode_batch(bert.encoder, token_lists, batch_size=16)
-        stats = backend.stats
-        assert stats.padded_batches >= 1
-        assert stats.real_tokens > 0
-        assert 0.0 <= stats.waste_ratio < 1.0
-
-    def test_padded_needs_fewer_forwards_on_all_distinct_lengths(self, bert, monkeypatch):
-        # The corpus padding exists for: no two lengths match, so exact
-        # grouping runs one forward per sequence while tiers still stack.
-        by_length = {}
-        for i in range(60):
-            tokens = serialized(bert, [make_table((1 + i % 7, 1 + i % 3, 1 + i % 2), i)])[0]
-            if len(tokens) <= BATCH_MAX_LENGTH:
-                by_length.setdefault(len(tokens), tokens)
-        token_lists = list(by_length.values())
-        encoder = bert.encoder
-        forwards = []  # sequences per forward
-        encode, stacked = encoder.encode, encoder.forward_padded
-
-        def counting_encode(tokens):
-            forwards.append(1)
-            return encode(tokens)
-
-        def counting_stacked(batch):
-            forwards.append(len(batch))
-            return stacked(batch)
-
-        monkeypatch.setattr(encoder, "encode", counting_encode)
-        monkeypatch.setattr(encoder, "forward_batch", counting_stacked)
-        monkeypatch.setattr(encoder, "forward_padded", counting_stacked)
-        LocalBackend().encode_batch(encoder, token_lists, batch_size=16)
-        assert forwards == [1] * len(token_lists)
-        forwards.clear()
-        PaddedBackend(tier_width=8).encode_batch(encoder, token_lists, batch_size=16)
-        assert sum(forwards) == len(token_lists)
-        assert len(forwards) < len(token_lists)  # 5 forwards for 22 lengths
-
-    def test_tier_bounds_per_sequence_waste(self):
-        backend = PaddedBackend(tier_width=4)
-        # Lengths 5..8 share tier (5-1)//4 == (8-1)//4 == 1; 9 starts tier 2.
-        assert backend._tier(5) == backend._tier(8)
-        assert backend._tier(8) != backend._tier(9)
-
-    def test_rejects_bad_tier_width(self):
-        with pytest.raises(ValueError):
-            PaddedBackend(tier_width=0)
+def test_forward_batch_refuses_mixed_lengths(bert):
+    short = bert._serializer.serialize(make_table((2, 1, 1), 0))
+    long = bert._serializer.serialize(make_table((7, 3, 2), 1))
+    assert len(short) != len(long)
+    with pytest.raises(ValueError):
+        bert.encoder.forward_batch([short, long])
 
 
 class TestBackendRegistry:
     def test_available_and_resolve(self):
-        assert {"local", "padded"} <= set(available_backends())
+        assert {"local", "remote"} <= set(available_backends())
         assert resolve_backend(None).name == "local"
-        assert resolve_backend("padded").name == "padded"
-        backend = PaddedBackend(tier_width=3)
+        assert resolve_backend("local").name == "local"
+        backend = LocalBackend()
         assert resolve_backend(backend) is backend
 
     def test_unknown_backend_rejected(self):
@@ -304,28 +202,16 @@ class TestBackendRegistry:
             backends._FACTORIES.pop("null-test", None)
 
     def test_load_model_with_backend(self):
-        model = load_model("bert", backend="padded")
-        assert model.backend.name == "padded"
+        # Building a remote backend does not connect.
+        remote = RemoteBackend(TransportConfig(urls="http://127.0.0.1:9"))
+        model = load_model("bert", backend=remote)
+        assert model.backend is remote
         assert load_model("bert").backend.name == "local"
 
     def test_set_backend_chains_and_swaps(self):
         model = load_model("bert")
-        assert model.set_backend("padded") is model
-        assert model.encoder.backend.name == "padded"
+        remote = RemoteBackend(TransportConfig(urls="http://127.0.0.1:9"))
+        assert model.set_backend(remote) is model
+        assert model.encoder.backend is remote
+        assert model.set_backend("local").encoder.backend.name == "local"
 
-
-class TestModelLevelNumerics:
-    LEVELS = (EmbeddingLevel.COLUMN, EmbeddingLevel.ROW, EmbeddingLevel.TABLE)
-
-    def test_padded_model_levels_within_tolerance(self):
-        exact = load_model("bert")
-        padded = load_model("bert", backend=PaddedBackend(tier_width=8))
-        tables = [make_table((1 + i % 6, 1 + i % 3, 1 + i % 2), i) for i in range(12)]
-        a = exact.embed_levels_batch(tables, [self.LEVELS] * len(tables), batch_size=8)
-        b = padded.embed_levels_batch(tables, [self.LEVELS] * len(tables), batch_size=8)
-        for bundle_a, bundle_b in zip(a, b):
-            for level in self.LEVELS:
-                assert (
-                    max_relative_error(bundle_b[level], bundle_a[level])
-                    <= PADDED_TOLERANCE
-                )

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models.backends.padded import PaddingStats
 from repro.models.backends.remote import ReplicaStats, TransportStats
 from repro.runtime import CacheStats, PipelineStats
 
-KINDS = [CacheStats, PipelineStats, PaddingStats, ReplicaStats, TransportStats]
+KINDS = [CacheStats, PipelineStats, ReplicaStats, TransportStats]
 
 # to_dict() keys read outside src/ (perfbench/run.py and perfbench/layers.py).
 READ_OUTSIDE = {

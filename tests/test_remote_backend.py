@@ -3,10 +3,10 @@
 Locks in the transport's four contracts:
 
 1. **Numerics across the wire** — for every model family, loopback-remote
-   results are *bit-identical* to the in-process local backend in exact
-   mode and within :data:`PADDED_TOLERANCE` in padded mode.  The service
-   rebuilds its encoder, interner, and weights from the shipped config,
-   so this is a genuine two-process determinism claim.
+   float64 results are *bit-identical* to the in-process local backend,
+   and the float32 tier stays within :data:`FLOAT32_TOLERANCE`.  The
+   service rebuilds its encoder, interner, and weights from the shipped
+   config, so this is a genuine two-process determinism claim.
 2. **Fault tolerance** — injected timeouts, 5xx, and torn payloads are
    retried (with backoff accounted in :class:`TransportStats`) and still
    produce bit-identical results; out-of-order responses are reassembled
@@ -34,6 +34,8 @@ import re
 import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -45,7 +47,6 @@ from repro.core.framework import DatasetSizes, Observatory
 from repro.errors import ModelError, RemoteEncodeError
 from repro.models.backends import (
     FLOAT32_TOLERANCE,
-    PADDED_TOLERANCE,
     LocalBackend,
     RemoteBackend,
     ReplicaStats,
@@ -66,7 +67,7 @@ from repro.models.token_array import (
 )
 from repro.relational.table import Table
 from repro.runtime.planner import EmbeddingExecutor, RuntimeConfig
-from repro.testing import FleetHarness, LoopbackEncoderService
+from repro.testing.encoder_service import FleetHarness, LoopbackEncoderService
 from tests.conftest import cached_model
 
 WORDS = ("alpha", "bravo", "delta", "echo", "golf", "hotel", "india", "kilo")
@@ -122,23 +123,6 @@ class TestLoopbackNumerics:
             remote = fast_remote(service).encode_batch(model.encoder, token_lists, 4)
             for local_arr, remote_arr in zip(local, remote):
                 assert np.array_equal(local_arr, remote_arr), name
-
-    def test_padded_within_tolerance_for_every_model_family(
-        self, service, all_model_names
-    ):
-        tables = small_tables(6)
-        for name in all_model_names:
-            model = cached_model(name)
-            if not hasattr(model, "encoder"):
-                continue
-            token_lists = token_lists_for(model, tables)
-            singles = [model.encoder.encode(toks) for toks in token_lists]
-            backend = fast_remote(service, exact=False, padding_tier=4)
-            assert not backend.exact
-            remote = backend.encode_batch(model.encoder, token_lists, 8)
-            for single, rem in zip(singles, remote):
-                assert rem.shape == single.shape
-                assert max_relative_error(rem, single) <= PADDED_TOLERANCE, name
 
     def test_empty_sequences_answered_locally(self, service):
         model = cached_model("bert")
@@ -367,16 +351,6 @@ class TestConfigWiring:
         assert isinstance(backend, RemoteBackend)
         assert backend.config.urls == (service.url,)
 
-    def test_padded_mode_derives_from_exact(self, service):
-        cfg = RuntimeConfig(
-            backend="remote",
-            transport=TransportConfig(urls=(service.url,)),
-            exact=False,
-        )
-        backend = cfg.build_backend()
-        assert not backend.exact
-        assert backend.tolerance == PADDED_TOLERANCE
-
     def test_transport_knob_validation(self, service):
         with pytest.raises(ValueError):
             TransportConfig(urls=(service.url,), retries=-1)
@@ -387,12 +361,13 @@ class TestConfigWiring:
         with pytest.raises(ValueError):
             TransportConfig(urls=())
 
-    def test_float32_tier_requires_non_exact_runtime(self, service):
+    def test_float32_tier_needs_only_state_dtype(self, service):
         f32 = TransportConfig(urls=(service.url,), state_dtype="float32")
-        with pytest.raises(ValueError, match="not exact"):
-            RuntimeConfig(backend="remote", transport=f32)  # exact=True default
-        cfg = RuntimeConfig(backend="remote", transport=f32, exact=False)
-        assert cfg.build_backend().exact is False
+        backend = RuntimeConfig(backend="remote", transport=f32).build_backend()
+        assert backend.exact is False
+        assert backend.tolerance == FLOAT32_TOLERANCE
+        model = load_model("bert", backend=backend)
+        assert EmbeddingExecutor(model)._cache_space == "bert|remote+f32"
 
     def test_malformed_model_payload_raises_model_error(self):
         from repro.models.config import ModelConfig
@@ -426,6 +401,28 @@ class TestConfigWiring:
             backend.encode_batch(BadEncoder(), token_lists, 4)
         assert backend.stats_snapshot().retries == 0
 
+    def test_encode_refuses_padded_mode_with_400(self, service):
+        # Only exact batching is served; a request naming another mode
+        # is a client error, whatever else it carries.
+        model = cached_model("bert")
+        (tokens,) = token_lists_for(model, small_tables(1))
+        request = {
+            "protocol": 2,
+            "model": model.encoder.config.to_jsonable(),
+            "mode": "padded",
+            "sequences": [wire_to_jsonable(tokens.to_wire())],
+        }
+        post = urllib.request.Request(
+            f"{service.url}/encode",
+            data=json.dumps(request).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(post, timeout=10)
+        with err.value as response:
+            assert response.code == 400
+            assert "mode" in json.loads(response.read())["error"]
+
     def test_protocol_1_requests_refused(self):
         from repro.service.encode import ACCEPTED_PROTOCOLS, EncoderPool
 
@@ -451,8 +448,9 @@ class TestConfigWiring:
         model = load_model("bert")
         model.set_backend(fast_remote(service))
         assert EmbeddingExecutor(model)._cache_space == "bert|remote"
-        model.set_backend(fast_remote(service, exact=False))
-        assert EmbeddingExecutor(model)._cache_space == "bert|remote+padded"
+        f32 = TransportConfig(urls=(service.url,), state_dtype="float32")
+        model.set_backend(RemoteBackend(f32))
+        assert EmbeddingExecutor(model)._cache_space == "bert|remote+f32"
         model.set_backend(LocalBackend())
         assert EmbeddingExecutor(model)._cache_space == "bert"
 

@@ -215,7 +215,7 @@ WORKFLOW_SIZES = DatasetSizes(
 def count_encoder_tokens(monkeypatch):
     """Record the tokens every Encoder forward receives, for every model."""
     counted = []
-    encode, stacked = Encoder.encode, Encoder.forward_padded
+    encode, stacked = Encoder.encode, Encoder.forward_batch
 
     def counting_encode(self, tokens):
         counted.append(len(tokens))
@@ -226,7 +226,6 @@ def count_encoder_tokens(monkeypatch):
         return stacked(self, token_lists)
 
     monkeypatch.setattr(Encoder, "encode", counting_encode)
-    monkeypatch.setattr(Encoder, "forward_padded", counting_stacked)
     monkeypatch.setattr(Encoder, "forward_batch", counting_stacked)
 
     def drain() -> int:

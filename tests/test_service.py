@@ -4,7 +4,8 @@ Covers the four planes of :mod:`repro.service` at the smallest sizes
 that still exercise real concurrency:
 
 - the shared HTTP plane (routing, gzip negotiation, chunked streaming,
-  typed error mapping, the preserved 404 wording);
+  typed error mapping, the preserved 404 wording, close ending
+  kept-alive connections);
 - the loopback-encoder rebase (module entrypoint still runs, fault
   hooks preserved — the deep fault semantics stay covered by
   ``test_remote_backend.py`` against the same rebased double);
@@ -21,6 +22,7 @@ that still exercise real concurrency:
 """
 
 import gzip
+import http.client
 import json
 import os
 import signal
@@ -30,6 +32,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -169,6 +172,7 @@ class TestHttpPlane:
             assert json.loads(err.value.read())["error_type"] == "ObservatoryError"
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"{plane.url}/malformed")
+            err.value.close()
             assert err.value.code == 400
 
     def test_bind_failure_is_typed(self):
@@ -176,6 +180,30 @@ class TestHttpPlane:
             port = int(first.url.rsplit(":", 1)[1])
             with pytest.raises(ServiceError):
                 HttpPlane(port=port, name="second")
+
+    def test_close_returns_on_a_plane_never_started(self):
+        plane = HttpPlane(name="t")
+        closer = threading.Thread(target=plane.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+
+    def test_close_ends_kept_alive_connections(self):
+        plane = HttpPlane(name="t")
+        plane.route("GET", "/plain", lambda r: {"ok": True})
+        plane.start()
+        address = urlsplit(plane.url)
+        conn = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+        try:
+            conn.request("GET", "/plain")
+            assert json.loads(conn.getresponse().read()) == {"ok": True}
+            plane.close()
+            # The idle keep-alive connection must not outlive the plane.
+            with pytest.raises((http.client.HTTPException, OSError)):
+                conn.request("GET", "/plain")
+                conn.getresponse().read()
+        finally:
+            conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +216,15 @@ class TestLoopbackEntrypoint:
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.testing.encoder_service", "--port", "0"],
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.testing.encoder_service",
+                "--port",
+                "0",
+            ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -196,13 +232,9 @@ class TestLoopbackEntrypoint:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         try:
-            # Skip runpy's sys.modules RuntimeWarning lines (merged from
-            # stderr) until the announcement.
-            line = ""
-            for _ in range(10):
-                line = proc.stdout.readline()
-                if "listening on http://" in line:
-                    break
+            # stderr is merged in: a runpy warning about a second import
+            # of the module would come first, and fail the launch.
+            line = proc.stdout.readline()
             assert "loopback encoder service listening on http://" in line
             url = line.strip().rsplit(" ", 1)[1]
             # Unknown endpoints answer with the historical wording.
@@ -214,6 +246,7 @@ class TestLoopbackEntrypoint:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +422,7 @@ class TestRequestPlane:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request)
+        err.value.close()
         assert err.value.code == 400
 
     def test_unknown_model_fails_job_typed(self, service):
@@ -725,7 +759,9 @@ class TestServeCli:
                 client.close()
         finally:
             proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=30) == 0
+            code = proc.wait(timeout=30)
+            proc.stdout.close()
+            assert code == 0
 
     def test_serve_handles_signals_from_its_announcement_on(self, tmp_path, monkeypatch):
         # A caller may send SIGTERM the moment it reads "listening on", so

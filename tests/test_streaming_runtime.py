@@ -3,7 +3,7 @@
 The streaming pipeline is a pure scheduling change: every result must be
 bit-identical to the synchronous path (the local backend is exact and
 chunking only regroups independent sequences).  Sweeps additionally
-report per-cell phase splits, the encoder backend, and pipeline/padding
+report per-cell phase splits, the encoder backend, and pipeline
 accounting — locked in here end to end for both engines.
 """
 
@@ -14,9 +14,9 @@ import repro.telemetry as telemetry
 from repro.core.framework import DatasetSizes, Observatory
 from repro.core.levels import EmbeddingLevel
 from repro.errors import ObservatoryError
-from repro.models.backends import PaddedBackend
+from repro.models.backends import TransportConfig
 from repro.models.blas import blas_regime
-from repro.models.registry import load_model, register_model, unregister_model
+from repro.models.registry import register_model, unregister_model
 from repro.relational.table import Table
 from repro.runtime.cache import EmbeddingCache
 from repro.runtime.pipeline import EncodeLoop, EncodeLoopClosedError, encode_loop
@@ -73,24 +73,6 @@ class TestStreamingExecutor:
         misses = cache.stats.misses
         executor.embed_levels_many(tables, LEVELS)
         assert cache.stats.misses == misses  # second pass: pure hits
-
-    def test_padded_entries_never_poison_an_exact_cache(self, bert):
-        # A shared (or persistent) cache must keep tolerance-tier
-        # embeddings in their own key space: an exact executor reading a
-        # cache populated by a padded run must still be bit-identical to
-        # uncached exact computation.
-        cache = EmbeddingCache(max_entries=512)
-        padded_exec = EmbeddingExecutor(
-            load_model("bert", backend=PaddedBackend()), cache=cache
-        )
-        exact_exec = EmbeddingExecutor(bert, cache=cache)
-        tables = corpus(8)
-        padded_exec.embed_levels_many(tables, LEVELS)  # warm with padded
-        got = exact_exec.embed_levels_many(tables, LEVELS)
-        want = EmbeddingExecutor(bert, naive=True).embed_levels_many(tables, LEVELS)
-        for bundle_got, bundle_want in zip(got, want):
-            for level in LEVELS:
-                assert np.array_equal(bundle_got[level], bundle_want[level])
 
     def test_small_requests_skip_the_loop(self, bert):
         executor = EmbeddingExecutor(
@@ -229,43 +211,23 @@ class TestSweepObservability:
         assert "Slowest cells" in rendered
         assert "encode " in rendered
 
-    def test_padded_sweep_reports_backend_and_padding(self):
-        from repro.analysis.report import render_sweep
 
-        observatory = Observatory(
-            seed=0, sizes=self.SIZES, runtime=RuntimeConfig(exact=False)
-        )
-        sweep = observatory.sweep(["bert"], self.PROPS)
-        assert sweep.backend.startswith("padded")
-        rendered = render_sweep(sweep)
-        assert "padded" in rendered
-
-    def test_padded_sweep_close_to_exact(self):
-        exact = Observatory(seed=0, sizes=self.SIZES).sweep(["bert"], self.PROPS)
-        padded = Observatory(
-            seed=0, sizes=self.SIZES, runtime=RuntimeConfig(exact=False)
-        ).sweep(["bert"], self.PROPS)
-        for cell_e, cell_p in zip(exact.cells, padded.cells):
-            for key, value in cell_e.result.scalars.items():
-                assert cell_p.result.scalars[key] == pytest.approx(value, abs=1e-9)
+# Building a remote backend does not connect, so no replica listens here.
+REMOTE = TransportConfig(urls="http://127.0.0.1:9")
 
 
 class TestRuntimeConfigBackends:
     def test_backend_resolution(self):
         assert RuntimeConfig().backend_name() == "local"
-        assert RuntimeConfig(exact=False).backend_name() == "padded"
-        assert RuntimeConfig(exact=False, backend="local").backend_name() == "local"
+        assert RuntimeConfig(backend="local").backend_name() == "local"
+        assert RuntimeConfig(backend="remote", transport=REMOTE).backend_name() == "remote"
         assert RuntimeConfig().build_backend().name == "local"
-        padded = RuntimeConfig(exact=False, padding_tier=5).build_backend()
-        assert padded.name == "padded" and padded.tier_width == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RuntimeConfig(backend="padded")  # exact=True contradiction
+            RuntimeConfig(backend="padded")  # no longer a backend
         with pytest.raises(ValueError):
             RuntimeConfig(backend="nonsense")
-        with pytest.raises(ValueError):
-            RuntimeConfig(padding_tier=0)
 
     def test_custom_model_rejects_non_local_backend(self):
         class Plain:
@@ -280,7 +242,7 @@ class TestRuntimeConfigBackends:
 
         register_model("plain-no-backend", Plain)
         try:
-            obs = Observatory(runtime=RuntimeConfig(exact=False))
+            obs = Observatory(runtime=RuntimeConfig(backend="remote", transport=REMOTE))
             with pytest.raises(ObservatoryError):
                 obs.model("plain-no-backend")
             # Default (local) config keeps custom models working.
@@ -289,10 +251,10 @@ class TestRuntimeConfigBackends:
             unregister_model("plain-no-backend")
 
     def test_observatory_shares_one_backend(self):
-        obs = Observatory(runtime=RuntimeConfig(exact=False))
+        obs = Observatory(runtime=RuntimeConfig(backend="remote", transport=REMOTE))
         assert obs.model("bert").backend is obs.model("tapas").backend
-        assert "padding" in obs.counters()
-        assert "padding" not in Observatory().counters()
+        assert "transport" in obs.counters()
+        assert "transport" not in Observatory().counters()
 
 
 class TestEncodeLoopLifecycle:

@@ -7,11 +7,10 @@ Three contracts:
    (``is_anchor``), truncation slicing, and the pickle/wire format that
    re-interns piece strings on the receiving side.
 2. **Bit-identity** — every production path over ``TokenArray`` (fused
-   embedding gather, attention masks, encoding through both backends,
+   embedding gather, attention masks, encoding through the local backend,
    all seven aggregation reductions) equals the frozen PR 3 per-token
    implementations (:mod:`repro.models.reference_plane`) to the last ulp
-   for every serializer × model family; the padded backend stays within
-   its pre-existing :data:`PADDED_TOLERANCE`.
+   for every serializer × model family.
 3. **No quadratic intermediates** — aggregation never allocates the old
    dense ``(n_levels, n_tokens)`` weight matrices.
 """
@@ -25,8 +24,7 @@ from hypothesis import strategies as st
 
 import repro.models.token_array as token_array
 from repro.models import aggregate, reference_plane
-from repro.models.backends import PADDED_TOLERANCE, LocalBackend, PaddedBackend
-from repro.models.backends.padded import max_relative_error
+from repro.models.backends import LocalBackend
 from repro.models.config import Serialization
 from repro.models.registry import available_models
 from repro.models.serializers import (
@@ -305,8 +303,8 @@ def test_encode_bit_identical_to_reference_per_family(name):
 
 @pytest.mark.parametrize("name", ["bert", "tapas", "t5", "doduo"])
 def test_backends_on_token_arrays(name):
-    """Exact backend bit-identical to the reference forward; padded within
-    its pre-existing tolerance — on columnar inputs end-to-end."""
+    """The exact backend is bit-identical to the reference forward on
+    columnar inputs end-to-end."""
     model = cached_model(name)
     if model.config.serialization == Serialization.ROW_TEMPLATE:
         pytest.skip("no flat sequence for row-template models")
@@ -321,11 +319,6 @@ def test_backends_on_token_arrays(name):
     exact = LocalBackend().encode_batch(model.encoder, token_lists, batch_size=2)
     for got, want in zip(exact, reference):
         assert np.array_equal(got, want)
-    padded = PaddedBackend(tier_width=16).encode_batch(
-        model.encoder, token_lists, batch_size=4
-    )
-    for got, want in zip(padded, reference):
-        assert max_relative_error(got, want) <= PADDED_TOLERANCE
 
 
 def test_attention_bias_values():
