@@ -139,7 +139,7 @@ def sweep_matrix(sweep: SweepResult) -> Dict[str, Dict[str, Optional[float]]]:
 
 def render_sweep(sweep: SweepResult) -> str:
     """Markdown rendering of a sweep: matrix, skipped cells, runtime stats,
-    encoder backend/pipeline accounting, work-stealing scheduler
+    encoder backend/pipeline accounting, process scheduler
     utilization (process sweeps), and the slowest cells."""
     lines = [render_markdown(sweep_matrix(sweep))]
     if sweep.skipped:
@@ -178,7 +178,7 @@ def render_sweep(sweep: SweepResult) -> str:
         if stats.evictions or stats.disk_evictions or stats.disk_drops:
             lines.append(
                 f"Cache eviction: {stats.evictions} memory, "
-                f"{stats.disk_evictions} disk (size/age), "
+                f"{stats.disk_evictions} disk (size), "
                 f"{stats.disk_drops} corrupt entries dropped."
             )
     if sweep.pipeline is not None:
@@ -211,8 +211,6 @@ def render_sweep(sweep: SweepResult) -> str:
         sched = sweep.scheduler
         lines.append(
             f"Scheduler: {sched.groups} work groups, "
-            f"{sched.redispatches} straggler re-dispatches "
-            f"({sched.duplicates_discarded} duplicates discarded), "
             f"{sched.crashes} worker crashes "
             f"({sched.salvaged_groups} groups salvaged)."
         )
@@ -222,8 +220,7 @@ def render_sweep(sweep: SweepResult) -> str:
                 f"- worker {worker.worker_id}: {worker.busy_fraction:.1%} busy "
                 f"({worker.busy_seconds:.2f}s busy / "
                 f"{worker.idle_seconds:.2f}s idle), "
-                f"{worker.groups} groups / {worker.cells} cells, "
-                f"{worker.steals} steals{flags}"
+                f"{worker.groups} groups / {worker.cells} cells{flags}"
             )
     slowest = sweep.slowest(3)
     if slowest:

@@ -14,10 +14,10 @@ Exposes the framework without writing Python::
 
 ``sweep`` runs the matrix through the batched/cached runtime and reports
 skipped cells, cache effectiveness, the encoder backend, and the slowest
-cells; ``--execution process`` runs the work-stealing scheduler across
+cells; ``--execution process`` runs the process scheduler across
 spawned worker processes (sharing the ``--disk-cache`` tier, bounded by
-``--cache-max-bytes``/``--cache-max-age``; the report gains per-worker
-busy/steal utilization lines), ``--backend remote
+``--cache-max-bytes``; the report gains per-worker busy/idle
+utilization lines), ``--backend remote
 --remote-url http://host:port`` farms encoder forward passes to an HTTP
 encoding fleet (repeat ``--remote-url`` per replica;
 ``--remote-timeout``/``--remote-retries`` bound the transport,
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "sweep engine: 'thread' shares one in-process cache, 'process' "
-            "runs the work-stealing scheduler across spawned workers "
+            "dispatches work groups to spawned workers, each group once, "
             "sharing only the disk cache "
             "(default: $REPRO_SWEEP_EXECUTION or thread)"
         ),
@@ -225,13 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="byte budget of the disk cache; LRU-evicted past it (default: unbounded)",
-    )
-    sweep.add_argument(
-        "--cache-max-age",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="expire disk-cache entries older than this (default: never)",
     )
     sweep.add_argument(
         "--journal",
@@ -499,7 +492,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             disk_cache_dir=args.disk_cache,
             cache_max_bytes=args.cache_max_bytes,
-            cache_max_age=args.cache_max_age,
             max_workers=args.workers,
             execution=args.execution,
             backend=args.backend,

@@ -391,11 +391,11 @@ class Observatory:
         so the result is identical for any worker count and execution
         mode.  ``execution="thread"`` (default) shares this Observatory's
         embedding cache across a thread pool; ``execution="process"``
-        runs cells under the work-stealing scheduler
+        runs cells under the process scheduler
         (:mod:`repro.runtime.scheduler`) on spawned worker processes
         that rebuild models from configuration and share only the
         on-disk cache tier — scaling Python-heavy cells past the GIL,
-        with straggler re-dispatch and crash salvage.  Unset, the mode
+        dispatching each work group once, with crash salvage.  Unset, the mode
         falls back to ``runtime.execution``, then the
         ``REPRO_SWEEP_EXECUTION`` environment variable, then
         ``"thread"``.  Out-of-scope cells are recorded on

@@ -17,7 +17,7 @@ and perturbations.  This package removes that redundancy:
   the GIL); :class:`PipelineStats` reports the overlap ratio.
 - :mod:`repro.runtime.disk` — :class:`DiskTier`, the bounded, indexed,
   crash-safe persistent tier (append-only index log replayed
-  incrementally, byte/age LRU eviction, atomic write-temp-then-rename,
+  incrementally, byte-budget LRU eviction, atomic write-temp-then-rename,
   stale-lock reclaim).
 - :mod:`repro.runtime.sweep` — ``Observatory.sweep``'s thread engine
   (the reference engine) and the per-cell runner both engines share,
@@ -25,8 +25,8 @@ and perturbations.  This package removes that redundancy:
 - :mod:`repro.runtime.scheduler` — :class:`WorkStealingSweep`, the
   ``execution="process"`` engine: persistent spawned workers pull
   corpus-affinity :class:`WorkGroup`\\ s, in the cache-aware order,
-  from a dynamic queue, with straggler re-dispatch and crash salvage
-  (:class:`SchedulerTelemetry` reports busy/idle/steal per worker).
+  from a dynamic queue, each group dispatched once, with crash salvage
+  (:class:`SchedulerTelemetry` reports busy/idle per worker).
 - :mod:`repro.runtime.journal` — :class:`SweepJournal`, the write-ahead
   per-cell progress log behind ``sweep(journal_dir=..., resume=True)``:
   digest-verified JSONL segments under a plan-fingerprint header, so a

@@ -9,8 +9,8 @@ single structured array of records (see
 
 The memory tier is a thread-safe LRU bounded by entry count.  The optional
 disk tier (:class:`~repro.runtime.disk.DiskTier`) persists every entry as
-an ``.npy`` file governed by an append-only index log, a byte budget, and
-an age limit, so repeated benchmark runs — and the worker processes of a
+an ``.npy`` file governed by an append-only index log and a byte budget,
+so repeated benchmark runs — and the worker processes of a
 sharded sweep, which share the directory — only pay for what actually
 changed.  All accounting is exposed as :class:`CacheStats` for reporting
 and tests.
@@ -46,7 +46,7 @@ class CacheStats(Counters):
     """Counters for cache effectiveness (hits include disk-tier hits).
 
     ``evictions`` counts memory-tier LRU drops; ``disk_evictions`` counts
-    disk-tier reclaims (size budget or age expiry); ``disk_drops`` counts
+    disk-tier reclaims under its byte budget; ``disk_drops`` counts
     corrupt/torn disk entries discarded on read.
     """
 
@@ -79,8 +79,6 @@ class EmbeddingCache:
         disk_dir: optional directory for the persistent tier, which holds
             every entry.
         disk_max_bytes: byte budget of the disk tier (``None`` = unbounded).
-        disk_max_age: seconds after which disk entries expire
-            (``None`` = never).
         clock: time source for the disk tier's eviction policy.
     """
 
@@ -90,7 +88,6 @@ class EmbeddingCache:
         disk_dir: Optional[str] = None,
         *,
         disk_max_bytes: Optional[int] = None,
-        disk_max_age: Optional[float] = None,
         clock: Callable[[], float] = time.time,
     ):
         if max_entries < 1:
@@ -102,12 +99,7 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         self.disk: Optional[DiskTier] = None
         if disk_dir is not None:
-            self.disk = DiskTier(
-                disk_dir,
-                max_bytes=disk_max_bytes,
-                max_age=disk_max_age,
-                clock=clock,
-            )
+            self.disk = DiskTier(disk_dir, max_bytes=disk_max_bytes, clock=clock)
 
     def set_deadline(self, deadline) -> None:
         """Forward a live sweep budget to the disk tier's lock waits."""

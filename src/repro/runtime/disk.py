@@ -12,9 +12,9 @@ them, so that
   a writer compacts the log once it holds more than twice as many records
   as live entries plus :data:`COMPACT_SLACK`;
 - the tier stays under a configurable **byte budget** (``max_bytes``) via
-  least-recently-used eviction;
-- entries past a configurable **age** (``max_age`` seconds since creation)
-  expire and are reclaimed before any younger entry is size-evicted;
+  least-recently-used eviction, its one space bound: entries are
+  content-addressed and their values deterministic, so age never makes
+  one stale;
 - every write is **crash-safe**: payloads and compacted logs land via
   write-temp-then-rename (``os.replace`` is atomic on POSIX), each record
   is appended before its payload is renamed into place, and index
@@ -122,9 +122,6 @@ class DiskTier:
         directory: storage directory (created if missing).
         max_bytes: byte budget for all entries; ``None`` = unbounded.
             An entry larger than the whole budget is not stored at all.
-        max_age: seconds after which an entry expires; ``None`` = never.
-            Expired entries are dropped on sight and reclaimed before any
-            younger entry is evicted for size.
         clock: time source for entry creation/access stamps (tests inject
             a virtual clock; eviction policy follows it).
         lock_timeout: seconds to wait for ``index.lock`` before assuming
@@ -138,19 +135,15 @@ class DiskTier:
         directory: str,
         *,
         max_bytes: Optional[int] = None,
-        max_age: Optional[float] = None,
         clock: Callable[[], float] = time.time,
         lock_timeout: float = 5.0,
         stale_lock_age: float = 10.0,
     ):
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be positive when set")
-        if max_age is not None and max_age <= 0:
-            raise ValueError("max_age must be positive when set")
         self.directory = directory
         self.max_bytes = max_bytes
-        self.max_age = max_age
-        self.evictions = 0  # size- or age-based reclaims (files removed)
+        self.evictions = 0  # size-budget reclaims (files removed)
         self.drops = 0  # corrupt/torn entries dropped on read
         self._clock = clock
         self._lock_timeout = lock_timeout
@@ -405,26 +398,14 @@ class DiskTier:
     # Eviction policy
     # ------------------------------------------------------------------
 
-    def _expired(self, entry: Dict[str, float], now: float) -> bool:
-        return self.max_age is not None and now - entry["created"] > self.max_age
+    def _reclaim(self, entries: Dict[str, Dict[str, float]], keep: str) -> list:
+        """Apply LRU size eviction; returns removed names.
 
-    def _reclaim(
-        self, entries: Dict[str, Dict[str, float]], now: float, keep: str
-    ) -> list:
-        """Apply age expiry then LRU size eviction; returns removed names.
-
-        Expired entries go first, so a younger-than-``max_age`` entry is
-        only ever evicted for size once no older-than-``max_age`` entry
-        remains — the invariant ``tests/test_cache_eviction.py`` locks in.
         ``keep``, the entry being written, is never a victim: it fits the
         budget alone (``put`` rejects larger entries), and a re-put keeps
         its old slot, where an access-stamp tie would otherwise pick it.
         """
         removed = []
-        if self.max_age is not None:  # skip the O(entries) scan when unused
-            removed = [n for n, e in entries.items() if self._expired(e, now)]
-            for name in removed:
-                del entries[name]
         if self.max_bytes is not None:
             total = sum(e["bytes"] for e in entries.values())
             while total > self.max_bytes and len(entries) > 1:
@@ -447,7 +428,7 @@ class DiskTier:
     # ------------------------------------------------------------------
 
     def get(self, name: str) -> Optional[np.ndarray]:
-        """The entry's array, or ``None`` (missing, expired, or corrupt).
+        """The entry's array, or ``None`` (missing or corrupt).
 
         A corrupt or torn payload is dropped from disk and index — the
         caller recomputes; wrong data is never returned for entries whose
@@ -458,22 +439,19 @@ class DiskTier:
             if entry is None:
                 return None
             stamp = (entry["bytes"], entry["created"])
-        now = self._clock()
         path = self._path(name)
-        if self._expired(entry, now):
-            self._forget(name, stamp, expired=True)
-            return None
         try:
             if os.path.getsize(path) != stamp[0]:
                 raise ValueError("payload size does not match index")
             value = np.load(path)
         except (OSError, ValueError, EOFError):
-            self._forget(name, stamp, expired=False)
+            self._forget(name, stamp)
             return None
         if self.max_bytes is not None:
-            # Persist recency only when size-LRU eviction consumes it;
-            # age expiry reads "created", so every other configuration
-            # keeps the hot read path free of the lock and the log.
+            # Persist recency only when size-LRU eviction consumes it, so
+            # an unbudgeted tier keeps the hot read path free of the
+            # clock, the lock and the log.
+            now = self._clock()
             with self._writing() as entries:
                 if name in entries:
                     entries[name]["atime"] = now
@@ -486,8 +464,8 @@ class DiskTier:
         An entry larger than the entire byte budget is rejected (storing
         it could never satisfy the bound), and so is an array that only
         pickle can save (``get`` loads without pickle, so it would be
-        dropped as corrupt on every read).  Insertion triggers expiry and
-        LRU eviction so the budget holds after every operation.
+        dropped as corrupt on every read).  Insertion triggers LRU
+        eviction so the budget holds after every operation.
         """
         tmp = os.path.join(self.directory, f"{_TMP_PREFIX}{uuid.uuid4().hex}.npy")
         try:
@@ -504,7 +482,7 @@ class DiskTier:
         now = self._clock()
         with self._writing() as entries:
             entries[name] = {"bytes": size, "created": now, "atime": now}
-            removed = self._reclaim(entries, now, keep=name)
+            removed = self._reclaim(entries, keep=name)
             self.evictions += len(removed)
             # Crash-ordering: victims are unlinked and the records logged
             # *before* the payload lands.  A crash at any point leaves
@@ -526,11 +504,12 @@ class DiskTier:
                 return False
         return True
 
-    def _forget(self, name: str, stamp: tuple, *, expired: bool) -> None:
-        """Drop ``name`` if the index still holds the entry judged bad.
+    def _forget(self, name: str, stamp: tuple) -> None:
+        """Drop ``name`` if the index still holds the entry judged corrupt.
 
         Runs under the lock, like every put's record and payload rename,
-        so an entry another writer re-put meanwhile is left alone.
+        so an entry another writer re-put meanwhile is left alone:
+        ``stamp`` is the ``(bytes, created)`` pair the reader saw.
         """
         with self._writing() as entries:
             entry = entries.get(name)
@@ -539,10 +518,7 @@ class DiskTier:
             self._unlink_entries([name])  # before its del record: no orphans
             del entries[name]
             self._log([["del", name]])
-            if expired:
-                self.evictions += 1
-            else:
-                self.drops += 1
+            self.drops += 1
 
     def total_bytes(self) -> int:
         """Bytes currently accounted to entries (per the index)."""
@@ -556,6 +532,5 @@ class DiskTier:
     def __repr__(self) -> str:
         budget = "unbounded" if self.max_bytes is None else f"{self.max_bytes}B"
         return (
-            f"DiskTier({self.directory!r}, budget={budget}, "
-            f"max_age={self.max_age}, entries={len(self)})"
+            f"DiskTier({self.directory!r}, budget={budget}, entries={len(self)})"
         )

@@ -83,9 +83,9 @@ class RuntimeConfig:
         cache_entries: memory-tier LRU capacity of the shared cache.
         disk_cache_dir: optional directory for the persistent cache tier.
         cache_max_bytes: byte budget of the disk tier (``None`` =
-            unbounded); size eviction is least-recently-used.
-        cache_max_age: seconds after which disk entries expire and are
-            reclaimed before any younger entry (``None`` = never).
+            unbounded); size eviction is least-recently-used.  It is the
+            tier's one space bound: entries are content-addressed and
+            deterministic, so none goes stale with age.
         max_workers: default worker count for ``Observatory.sweep``
             (``None`` defers to the ``REPRO_SWEEP_WORKERS`` environment
             variable, falling back to one worker per unit of work,
@@ -93,9 +93,9 @@ class RuntimeConfig:
         execution: default sweep execution mode — ``"thread"`` (one pool of
             threads sharing this process's cache) or ``"process"``
             (spawned worker processes pulling corpus-affinity work groups
-            from the work-stealing scheduler, sharing only the disk
-            tier).  ``None`` defers to the ``REPRO_SWEEP_EXECUTION``
-            environment variable, falling back to ``"thread"``.
+            from the process scheduler, sharing only the disk tier).
+            ``None`` defers to the ``REPRO_SWEEP_EXECUTION`` environment
+            variable, falling back to ``"thread"``.
         backend: encoder backend name (``"local"``/``"remote"`` or
             anything registered); ``None`` means ``"local"``, exact
             same-length batching, bit-identical to single-sequence
@@ -123,7 +123,6 @@ class RuntimeConfig:
     cache_entries: int = 16384
     disk_cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    cache_max_age: Optional[float] = None
     max_workers: Optional[int] = None
     execution: Optional[str] = None
     backend: Optional[str] = None
@@ -137,8 +136,6 @@ class RuntimeConfig:
             raise ValueError("cache_entries must be positive")
         if self.cache_max_bytes is not None and self.cache_max_bytes < 1:
             raise ValueError("cache_max_bytes must be positive")
-        if self.cache_max_age is not None and self.cache_max_age <= 0:
-            raise ValueError("cache_max_age must be positive")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be positive")
         if self.execution not in (None, "thread", "process"):
@@ -190,7 +187,6 @@ class RuntimeConfig:
             max_entries=self.cache_entries,
             disk_dir=self.disk_cache_dir,
             disk_max_bytes=self.cache_max_bytes,
-            disk_max_age=self.cache_max_age,
         )
 
 

@@ -1,4 +1,4 @@
-"""Work-stealing sweep scheduler: the ``execution="process"`` engine.
+"""Group scheduler: the ``execution="process"`` engine.
 
 Handing each worker one fixed shard of the cell order up front would
 bound every sweep by its unluckiest shard: a ``heterogeneous_context``
@@ -9,18 +9,16 @@ latency variance on top.  This module dispatches dynamically instead:
 - **Corpus-affinity work groups** — consecutive cells of the cache-aware
   order (:func:`repro.runtime.sweep.order_cells`) sharing a (model,
   corpus) pair form one :class:`WorkGroup`.  Groups, not cells, are the
-  unit of dispatch and of stealing, so a stolen unit still lands with
-  its warm-memory-tier locality intact.  Groups are handed out in that
-  same order, the one the thread engine runs and the journal plans.
+  unit of dispatch, so each one lands on a worker with its
+  warm-memory-tier locality intact.  Groups are handed out in that same
+  order, the one the thread engine runs and the journal plans.
 - **Persistent pulling workers** — spawned once, workers pull groups
   from the parent dispatcher until the queue drains, so a worker that
   lands short groups simply pulls more instead of idling behind a fixed
   shard.
-- **Straggler re-dispatch** — when the queue is empty, an idle worker
-  duplicates the oldest in-flight group; the first completed result
-  wins and the loser is discarded.  Safe because every cell is a pure
-  function of ``(seed, model, property, sizes)``: duplicates are
-  bit-identical, so which copy wins is unobservable.
+- **One dispatch per group** — a group runs again only when its worker
+  dies.  A stuck worker is bounded by the sweep deadline, which the
+  dispatch loop checks on every poll before it terminates the worker.
 - **Crash salvage** — a dead worker loses only its in-flight group,
   which is re-queued on the survivors under a bounded retry budget;
   completed groups are never discarded.  A group that keeps killing
@@ -39,7 +37,7 @@ Determinism contract: the scheduler changes *wall-clock*, never
 *numbers*.  Workers run each cell through the thread engine's own
 :func:`~repro.runtime.sweep.run_cell`, and results are bit-identical to
 ``execution="thread"`` — the reference engine — for any worker count
-and any steal/crash interleaving; ``tests/test_runtime_scheduler.py``
+and any crash interleaving; ``tests/test_runtime_scheduler.py``
 locks this in.
 
 The dispatch loop (:class:`GroupScheduler`) is transport-agnostic: it
@@ -50,7 +48,7 @@ with ``get(timeout)``).  Production workers are spawned processes
 shared queue, whose feeder-thread write lock a hard-dying worker can
 leak, wedging every survivor (see :class:`_FanInResults`).  The
 Hypothesis suite drives the same loop with in-process fake workers to
-explore steal/crash interleavings cheaply.
+explore crash interleavings cheaply.
 """
 
 from __future__ import annotations
@@ -65,6 +63,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
+    CellExecutionError,
     CellPoisonedError,
     DeadlineExceededError,
     ObservatoryError,
@@ -76,19 +75,13 @@ from repro.telemetry import Counters
 
 _DEFAULT_PROCESS_CAP = 4
 
-# Straggler copies of one group allowed in flight at once.
-_MAX_DUPLICATES = 1
-
-# Fault-injection hooks for the crash/straggler regression tests.  Read
-# once per spawned worker; unset (the default) they are inert.
+# Fault-injection hook for the crash regression tests.  Read once per
+# spawned worker; unset (the default) it is inert.
 #   REPRO_SCHEDULER_TEST_CRASH="worker:<id>"        -> worker <id> dies
 #       (os._exit) at the start of its first group.
 #   REPRO_SCHEDULER_TEST_CRASH="cell:<model>/<prop>" -> any worker dies
 #       when it reaches that cell (the poisoned-cell scenario).
-#   REPRO_SCHEDULER_TEST_STALL="<id>:<seconds>"     -> worker <id>
-#       sleeps before its first group (the straggler scenario).
 CRASH_ENV = "REPRO_SCHEDULER_TEST_CRASH"
-STALL_ENV = "REPRO_SCHEDULER_TEST_STALL"
 
 
 @dataclasses.dataclass
@@ -96,7 +89,7 @@ class ShardOutcome:
     """What the parent gets back from the process engine (pre-ordering).
 
     ``counters`` merges the workers' latest counter snapshots by kind;
-    ``scheduler`` carries the per-worker busy/idle/steal telemetry
+    ``scheduler`` carries the per-worker busy/idle telemetry
     (:class:`SchedulerTelemetry`); ``failures`` carries degraded cells
     (:class:`~repro.runtime.sweep.CellFailure`) under
     ``on_error="degrade"``.
@@ -116,7 +109,7 @@ class ShardOutcome:
 
 @dataclasses.dataclass(frozen=True)
 class WorkGroup:
-    """One steal-unit: consecutive cells sharing a (model, corpus) pair."""
+    """One dispatch unit: consecutive cells sharing a (model, corpus) pair."""
 
     group_id: int
     model_name: str
@@ -132,7 +125,7 @@ def build_groups(cells: Sequence[Tuple[str, str]]) -> List[WorkGroup]:
 
     Consecutive cells with the same model *and* the same dataset corpus
     (:data:`~repro.runtime.sweep.PROPERTY_CORPUS`) join one group, so
-    stealing a group moves the whole warm-locality run, never splits it.
+    dispatch moves the whole warm-locality run, never splits it.
     Concatenating the groups in ``group_id`` order reproduces the input
     order exactly — that is what keeps merged results deterministic.
     """
@@ -162,14 +155,13 @@ def build_groups(cells: Sequence[Tuple[str, str]]) -> List[WorkGroup]:
 
 @dataclasses.dataclass
 class WorkerTelemetry:
-    """Busy/idle/steal accounting for one scheduler worker."""
+    """Busy/idle accounting for one scheduler worker."""
 
     worker_id: int
     groups: int = 0
     cells: int = 0
     busy_seconds: float = 0.0
     idle_seconds: float = 0.0
-    steals: int = 0  # duplicated (stolen) groups this worker ran
     crashed: bool = False
 
     @property
@@ -187,8 +179,6 @@ class SchedulerTelemetry:
 
     groups: int = 0
     workers: List[WorkerTelemetry] = dataclasses.field(default_factory=list)
-    redispatches: int = 0  # straggler duplicates issued
-    duplicates_discarded: int = 0  # losing duplicate results dropped
     crashes: int = 0  # workers that died
     salvaged_groups: int = 0  # crashed in-flight groups re-queued
     dispatch_log: List[Dict[str, object]] = dataclasses.field(default_factory=list)
@@ -201,10 +191,9 @@ class SchedulerTelemetry:
 class SchedulerRun:
     """Outcome of one :meth:`GroupScheduler.run`.
 
-    ``payloads`` maps ``group_id`` to the *winning* worker payload (first
-    completion under duplication); ``snapshots`` keeps each worker's
-    latest cumulative payload so stats merging survives a worker that was
-    terminated mid-duplicate.  ``failures`` maps ``group_id`` to the
+    ``payloads`` maps ``group_id`` to the worker payload that completed
+    it; ``snapshots`` keeps each worker's latest cumulative payload, the
+    one stats merging reads.  ``failures`` maps ``group_id`` to the
     typed error that degraded it (poisoned group, expired deadline) —
     populated only under ``on_error="degrade"``; ``"abort"`` raises
     instead.
@@ -222,7 +211,7 @@ class SchedulerRun:
 
 
 class GroupScheduler:
-    """Transport-agnostic work-stealing dispatch loop.
+    """Transport-agnostic dispatch loop: each group goes to one worker.
 
     Drives worker *handles* — anything with ``worker_id``, ``send(msg)``,
     ``is_alive()``, ``join(timeout)``, and ``terminate()`` — plus one
@@ -231,24 +220,26 @@ class GroupScheduler:
 
     - worker -> parent: ``("ready", worker_id)`` once its state is built;
       ``("done", worker_id, group_id, busy_seconds, payload)`` per group.
-    - parent -> worker: ``("run", group_id, cells, duplicate)`` and
-      ``("stop",)``.
+    - parent -> worker: ``("run", group_id, cells)`` and ``("stop",)``.
 
     A worker that stops being alive without having been sent ``stop`` is
-    a crash: its in-flight group re-queues (bounded by ``max_retries``
-    extra attempts) unless another worker is already running a duplicate
-    of it.  Workers with nothing to pull stay parked (not stopped) until
-    every group completes, so a late crash still finds survivors.
+    a crash: its in-flight group re-queues, bounded by ``max_retries``
+    extra attempts.  That is the only way a group is dispatched twice.
+    Workers with nothing to pull stay parked (not stopped) until every
+    group completes, so a late crash still finds survivors.
 
     Fault handling: under ``on_error="abort"`` (default) a poisoned
     group or expired ``deadline`` raises the typed error; under
     ``"degrade"`` the group is recorded on ``SchedulerRun.failures`` and
-    the loop keeps dispatching the rest.  Every worker dying is total
-    failure either way (:class:`~repro.errors.WorkerCrashError`) —
+    the loop keeps dispatching the rest.  The deadline also bounds a
+    stuck worker: the loop checks it on every poll, and shutdown
+    terminates a worker that outlives its join.  Every worker dying is
+    total failure either way (:class:`~repro.errors.WorkerCrashError`) —
     nothing could make progress, so the caller's resume path is the
     recovery, not a degraded result.  ``on_group_done`` fires with
-    ``(group, payload)`` the moment a group's winning payload lands —
-    the write-ahead journal's incremental-persistence hook.
+    ``(group, payload)`` the moment a group's payload lands — the
+    write-ahead journal's incremental-persistence hook; an error it
+    raises ends the run.
     """
 
     def __init__(
@@ -258,8 +249,6 @@ class GroupScheduler:
         max_retries: int = 2,
         poll_interval: float = 0.05,
         join_timeout: float = 1.0,
-        steal_min_age: float = 0.5,
-        steal_age_factor: float = 1.5,
         on_error: str = "abort",
         deadline: Optional[Deadline] = None,
         on_group_done=None,
@@ -275,13 +264,6 @@ class GroupScheduler:
         self.on_error = on_error
         self.deadline = deadline if deadline is not None else Deadline(None)
         self.on_group_done = on_group_done
-        # A group only counts as a straggler — and becomes stealable —
-        # once it has been in flight longer than both the absolute floor
-        # and ``steal_age_factor`` x the mean completed-group duration.
-        # Duplicating healthy tail groups the instant the queue drains
-        # would burn a core racing a worker that is about to finish.
-        self.steal_min_age = steal_min_age
-        self.steal_age_factor = steal_age_factor
 
     def run(self, handles: Sequence[object], results) -> SchedulerRun:
         if not self.groups:
@@ -297,64 +279,39 @@ class GroupScheduler:
         idle: set = set()  # ready workers with nothing to pull right now
         ready_at: Dict[int, float] = {}
         finished_at: Dict[int, float] = {}
-        # worker_id -> (group, dispatched_at, duplicate, log_entry)
-        in_flight: Dict[int, Tuple[WorkGroup, float, bool, Dict[str, object]]] = {}
+        # worker_id -> (group, dispatched_at, log_entry)
+        in_flight: Dict[int, Tuple[WorkGroup, float, Dict[str, object]]] = {}
         payloads: Dict[int, object] = {}
         snapshots: Dict[int, object] = {}
         failed: Dict[int, ObservatoryError] = {}  # degraded groups
         attempts = {g.group_id: 0 for g in self.groups}  # crash retries used
-        outstanding_dups = {g.group_id: 0 for g in self.groups}
-        completed_seconds: List[float] = []  # feeds the straggler threshold
 
         def settled() -> int:
             return len(payloads) + len(failed)
 
-        def runners_of(group_id: int) -> List[int]:
-            return [
-                wid for wid, (g, _, _, _) in in_flight.items() if g.group_id == group_id
-            ]
-
         def dispatch(worker_id: int) -> None:
-            """Hand ``worker_id`` its next group, stealing if the queue is dry."""
-            duplicate = False
-            if pending:
-                group = pending.popleft()
-            else:
-                group = self._steal_victim(
-                    in_flight, payloads, outstanding_dups, worker_id, completed_seconds
-                )
-                if group is None:
-                    idle.add(worker_id)
-                    return
-                duplicate = True
-                outstanding_dups[group.group_id] += 1
-                telemetry.redispatches += 1
-                worker_stats[worker_id].steals += 1
+            """Hand ``worker_id`` its next group, or park it."""
+            if not pending:
+                idle.add(worker_id)
+                return
+            group = pending.popleft()
             entry = {
                 "group": group.group_id,
                 "worker": worker_id,
                 "model": group.model_name,
                 "corpus": group.corpus,
                 "cells": len(group.cells),
-                "duplicate": duplicate,
                 "outcome": "in_flight",
                 "seconds": None,
             }
             telemetry.dispatch_log.append(entry)
-            in_flight[worker_id] = (group, time.perf_counter(), duplicate, entry)
-            live[worker_id].send(("run", group.group_id, group.cells, duplicate))
+            in_flight[worker_id] = (group, time.perf_counter(), entry)
+            live[worker_id].send(("run", group.group_id, group.cells))
 
         def wake_idle() -> None:
             while pending and idle:
                 worker_id = idle.pop()
                 dispatch(worker_id)
-
-        def retry_idle() -> None:
-            """Parked workers re-poll each tick: a salvaged group may be
-            pending, or an in-flight group may have aged into a straggler."""
-            for worker_id in list(idle):
-                idle.discard(worker_id)
-                dispatch(worker_id)  # re-parks itself if still nothing
 
         def reap_crashes() -> None:
             for worker_id, handle in list(live.items()):
@@ -367,36 +324,32 @@ class GroupScheduler:
                 telemetry.crashes += 1
                 entry = in_flight.pop(worker_id, None)
                 if entry is not None:
-                    group, _, duplicate, log_entry = entry
+                    group, _, log_entry = entry
                     log_entry["outcome"] = "crashed"
-                    if duplicate:
-                        outstanding_dups[group.group_id] -= 1
-                    if group.group_id not in payloads and not runners_of(group.group_id):
-                        attempts[group.group_id] += 1
-                        if attempts[group.group_id] > self.max_retries:
-                            error = CellPoisonedError(
-                                f"sweep group {group.group_id} poisoned: crashed "
-                                f"{attempts[group.group_id]} worker(s) (retry "
-                                f"budget {self.max_retries}); cells "
-                                + ", ".join(f"{m}/{p}" for m, p in group.cells)
-                            )
-                            if self.on_error == "degrade":
-                                # The group becomes a named failure; the
-                                # rest of the sweep keeps running.
-                                log_entry["outcome"] = "poisoned"
-                                failed[group.group_id] = error
-                            else:
-                                self._shutdown(live, in_flight, telemetry)
-                                raise error
+                    attempts[group.group_id] += 1
+                    if attempts[group.group_id] > self.max_retries:
+                        error = CellPoisonedError(
+                            f"sweep group {group.group_id} poisoned: crashed "
+                            f"{attempts[group.group_id]} worker(s) (retry "
+                            f"budget {self.max_retries}); cells "
+                            + ", ".join(f"{m}/{p}" for m, p in group.cells)
+                        )
+                        if self.on_error == "degrade":
+                            # The group becomes a named failure; the rest
+                            # of the sweep keeps running.
+                            log_entry["outcome"] = "poisoned"
+                            failed[group.group_id] = error
                         else:
-                            telemetry.salvaged_groups += 1
-                            # Back of the queue: a group that just killed
-                            # a worker may kill the next one too, so the
-                            # groups never tried run first.  At the front
-                            # it could reach a worker that posts "ready"
-                            # after the crash, kill it as well, and leave
-                            # every healthy group undispatched.
-                            pending.append(group)
+                            raise error  # the finally clause shuts workers down
+                    else:
+                        telemetry.salvaged_groups += 1
+                        # Back of the queue: a group that just killed a
+                        # worker may kill the next one too, so the groups
+                        # never tried run first.  At the front it could
+                        # reach a worker that posts "ready" after the
+                        # crash, kill it as well, and leave every healthy
+                        # group undispatched.
+                        pending.append(group)
                 if not live and settled() < len(self.groups):
                     missing = [
                         g
@@ -416,12 +369,6 @@ class GroupScheduler:
                     )
                 wake_idle()
 
-        def record_win(group_id: int, payload: object) -> None:
-            payloads[group_id] = payload
-            if self.on_group_done is not None:
-                group = next(g for g in self.groups if g.group_id == group_id)
-                self.on_group_done(group, payload)
-
         try:
             while settled() < len(self.groups):
                 if self.deadline.expired():
@@ -440,7 +387,6 @@ class GroupScheduler:
                     message = results.get(timeout=self.poll_interval)
                 except queue_module.Empty:
                     reap_crashes()
-                    retry_idle()
                     continue
                 kind = message[0]
                 worker_id = message[1]
@@ -452,31 +398,20 @@ class GroupScheduler:
                     dispatch(worker_id)
                 elif kind == "done":
                     _, worker_id, group_id, busy_seconds, payload = message
-                    entry = in_flight.pop(worker_id, None)
+                    group, dispatched_at, log_entry = in_flight.pop(worker_id)
                     stats = worker_stats[worker_id]
                     stats.groups += 1
+                    stats.cells += len(group.cells)
                     stats.busy_seconds += busy_seconds
                     snapshots[worker_id] = payload
-                    if entry is not None:
-                        group, dispatched_at, duplicate, log_entry = entry
-                        stats.cells += len(group.cells)
-                        log_entry["seconds"] = time.perf_counter() - dispatched_at
-                        completed_seconds.append(log_entry["seconds"])
-                        if duplicate:
-                            outstanding_dups[group_id] -= 1
-                        if group_id in payloads:
-                            telemetry.duplicates_discarded += 1
-                            log_entry["outcome"] = "discarded"
-                        else:
-                            record_win(group_id, payload)
-                            log_entry["outcome"] = "won"
-                    elif group_id not in payloads:
-                        # Defensive: a result without a tracked assignment
-                        # still wins if the group is open (first-wins rule).
-                        record_win(group_id, payload)
+                    log_entry["seconds"] = time.perf_counter() - dispatched_at
+                    log_entry["outcome"] = "won"
+                    payloads[group_id] = payload
+                    if self.on_group_done is not None:
+                        self.on_group_done(group, payload)
                     dispatch(worker_id)
         finally:
-            self._shutdown(live, in_flight, telemetry)
+            self._shutdown(live, in_flight)
         end = time.perf_counter()
         for worker_id, stats in worker_stats.items():
             started = ready_at.get(worker_id)
@@ -485,49 +420,15 @@ class GroupScheduler:
                 stats.idle_seconds = max(0.0, wall - stats.busy_seconds)
         return SchedulerRun(payloads, snapshots, telemetry, failed)
 
-    def _steal_victim(
-        self,
-        in_flight: Dict[int, Tuple[WorkGroup, float, bool, Dict[str, object]]],
-        payloads: Dict[int, object],
-        outstanding_dups: Dict[int, int],
-        thief_id: int,
-        completed_seconds: Sequence[float],
-    ) -> Optional[WorkGroup]:
-        """Oldest in-flight group that has aged into a straggler.
-
-        Eligibility requires the group to have been in flight longer
-        than ``max(steal_min_age, steal_age_factor * mean completed
-        duration)`` — an idle worker waits for evidence of straggling
-        rather than instantly racing a healthy tail group.
-        """
-        threshold = self.steal_min_age
-        if completed_seconds:
-            mean = sum(completed_seconds) / len(completed_seconds)
-            threshold = max(threshold, self.steal_age_factor * mean)
-        now = time.perf_counter()
-        candidates = [
-            (dispatched_at, group)
-            for wid, (group, dispatched_at, _, _) in in_flight.items()
-            if wid != thief_id
-            and group.group_id not in payloads
-            and outstanding_dups[group.group_id] < _MAX_DUPLICATES
-            and now - dispatched_at >= threshold
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda pair: pair[0])[1]
-
-    def _shutdown(self, live, in_flight, telemetry) -> None:
+    def _shutdown(self, live, in_flight) -> None:
         """Stop every live worker; terminate any that outlives the join.
 
-        A worker still grinding a duplicated group whose result already
-        arrived from elsewhere is abandoned (terminated if it outlives
-        the join): its output can only be a bit-identical copy nobody is
-        waiting for.
+        A group still in flight here was cut off by an abort or by the
+        deadline, and is logged as abandoned.
         """
-        for entry in in_flight.values():
-            if entry[3]["outcome"] == "in_flight":
-                entry[3]["outcome"] = "abandoned"
+        for _, _, log_entry in in_flight.values():
+            if log_entry["outcome"] == "in_flight":
+                log_entry["outcome"] = "abandoned"
         for handle in live.values():
             try:
                 handle.send(("stop",))
@@ -569,13 +470,6 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
     from repro.core.framework import Observatory
 
     crash_worker, crash_cell = _parse_crash_spec(os.environ.get(CRASH_ENV, ""))
-    stall_spec = os.environ.get(STALL_ENV, "")
-    stall_seconds = 0.0
-    if stall_spec:
-        stall_id, seconds = stall_spec.split(":", 1)
-        if int(stall_id) == worker_id:
-            stall_seconds = float(seconds)
-
     observatory = Observatory(
         seed=payload["seed"],
         sizes=payload["sizes"],
@@ -590,7 +484,6 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
     # This process holds both ends of the inbox's pipe, so a SIGKILLed
     # parent never reads as EOF there: poll, and leave once it is gone.
     parent = multiprocessing.parent_process()
-    first_group = True
     while True:
         try:
             message = inbox.get(timeout=1.0)
@@ -600,12 +493,9 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
             continue
         if message[0] == "stop":
             break
-        _, group_id, cells, _duplicate = message
-        if first_group:
-            if crash_worker == worker_id:
-                os._exit(3)  # hard death: no cleanup, no result
-            if stall_seconds:
-                time.sleep(stall_seconds)  # injected straggler
+        _, group_id, cells = message
+        if crash_worker == worker_id:
+            os._exit(3)  # hard death: no cleanup, no result
         started = time.perf_counter()
         out_cells = []
         out_failures = []
@@ -628,8 +518,6 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
             try:
                 out_cells.append(run_cell(observatory, model_name, property_name))
             except ObservatoryError as exc:
-                if on_error != "degrade":
-                    raise  # the worker dies; parent salvage takes over
                 # cause stays None: a live traceback may not survive
                 # pickling back through the result pipe.
                 out_failures.append(
@@ -637,10 +525,15 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
                         model_name, property_name, type(exc).__name__, str(exc)
                     )
                 )
+                if on_error != "degrade":
+                    # The parent raises it: the failure is deterministic,
+                    # so neither this group's later cells nor a retry on
+                    # another worker could change the outcome.
+                    break
         busy = time.perf_counter() - started
         # Counters ride every result as *cumulative* snapshots: the
         # parent keeps the latest per worker, so a worker later terminated
-        # mid-duplicate forfeits only that duplicate's deltas.
+        # mid-group forfeits only that group's deltas.
         results.send(
             (
                 "done",
@@ -654,7 +547,6 @@ def _worker_main(worker_id: int, payload: Dict[str, object], inbox, results) -> 
                 },
             )
         )
-        first_group = False
 
 
 class _FanInResults:
@@ -723,10 +615,10 @@ class _ProcessWorkerHandle:
 
 
 class WorkStealingSweep:
-    """Run sweep cells through the work-stealing scheduler on spawned workers.
+    """Run sweep cells through the group scheduler on spawned workers.
 
     Corpus-affinity groups are pulled, in the cache-aware order, by
-    persistent workers, with straggler re-dispatch and crash salvage;
+    persistent workers, each group dispatched once, with crash salvage;
     results are bit-identical to the thread engine's.
 
     Args:
@@ -737,15 +629,16 @@ class WorkStealingSweep:
             group count (an extra worker could never receive work).
         max_retries: extra attempts a crashed group gets before the sweep
             fails naming its cells.
-        steal_min_age / steal_age_factor: straggler threshold — see
-            :class:`GroupScheduler`.
-        on_error: ``"abort"`` raises typed errors; ``"degrade"`` turns
-            poisoned groups / per-cell failures / expired deadlines into
+        on_error: ``"abort"`` raises typed errors — a failing cell as a
+            :class:`~repro.errors.CellExecutionError` naming the cell and
+            its original error, once the group's completed cells are
+            handed to ``on_group_done``; ``"degrade"`` turns poisoned
+            groups / per-cell failures / expired deadlines into
             :class:`~repro.runtime.sweep.CellFailure` records on the
             returned :class:`ShardOutcome`.
         deadline: the sweep's live wall-clock budget (also shipped to
             workers as an absolute epoch).
-        on_group_done: called with the winning group's ``List[SweepCell]``
+        on_group_done: called with a finished group's ``List[SweepCell]``
             the moment it lands — the journal's persistence hook.
     """
 
@@ -755,8 +648,6 @@ class WorkStealingSweep:
         *,
         max_workers: Optional[int] = None,
         max_retries: int = 2,
-        steal_min_age: float = 0.5,
-        steal_age_factor: float = 1.5,
         on_error: str = "abort",
         deadline: Optional[Deadline] = None,
         on_group_done=None,
@@ -764,8 +655,6 @@ class WorkStealingSweep:
         self.observatory = observatory
         self.max_workers = max_workers
         self.max_retries = max_retries
-        self.steal_min_age = steal_min_age
-        self.steal_age_factor = steal_age_factor
         self.on_error = on_error
         self.deadline = deadline if deadline is not None else Deadline(None)
         self.on_group_done = on_group_done
@@ -814,19 +703,12 @@ class WorkStealingSweep:
                 writer.close()
                 results.register(reader)
                 handles.append(_ProcessWorkerHandle(worker_id, process, inbox))
-            notify = None
-            if self.on_group_done is not None:
-                notify = lambda group, payload: self.on_group_done(  # noqa: E731
-                    list(payload["cells"])
-                )
             scheduler = GroupScheduler(
                 groups,
                 max_retries=self.max_retries,
-                steal_min_age=self.steal_min_age,
-                steal_age_factor=self.steal_age_factor,
                 on_error=self.on_error,
                 deadline=self.deadline,
-                on_group_done=notify,
+                on_group_done=self._group_done,
             )
             run = scheduler.run(handles, results)
         finally:
@@ -836,10 +718,27 @@ class WorkStealingSweep:
                 handle.join(1.0)
         return self._merge(groups, run, len(handles))
 
+    def _group_done(self, group: WorkGroup, payload: Dict[str, object]) -> None:
+        """Hand a finished group's cells on; under abort, raise its failure.
+
+        A worker under ``"abort"`` stops its group at the first failing
+        cell and reports it as a :class:`CellFailure`, so the cells that
+        did complete are journaled before the sweep ends.
+        """
+        if self.on_group_done is not None:
+            self.on_group_done(list(payload["cells"]))
+        if self.on_error == "abort" and payload["failures"]:
+            failure = payload["failures"][0]
+            raise CellExecutionError(
+                failure.model_name,
+                failure.property_name,
+                f"{failure.error}: {failure.message}",
+            )
+
     def _merge(
         self, groups: List[WorkGroup], run: SchedulerRun, workers: int
     ) -> ShardOutcome:
-        """Winner payloads -> ShardOutcome, in original (cache-aware) order."""
+        """Group payloads -> ShardOutcome, in original (cache-aware) order."""
         merged_cells: List[object] = []
         failures: List[CellFailure] = []
         for group in groups:

@@ -8,10 +8,10 @@ Two execution engines are available:
   their time in numpy, which releases the GIL, and all executors share one
   embedding cache, so a table embedded for P1 is a cache hit when P2 asks
   for it.
-- ``"process"`` — cells run on the work-stealing scheduler
+- ``"process"`` — cells run on the process scheduler
   (:mod:`repro.runtime.scheduler`): persistent spawned workers pull
   corpus-affinity work groups, in the cache-aware order, from a dynamic
-  queue, with straggler re-dispatch and crash salvage.  This scales the
+  queue, each group dispatched once, with crash salvage.  This scales the
   Python-heavy half of the matrix (serializers, aggregates, planners)
   past the GIL.  Workers rebuild models from the registry and share only
   the on-disk cache tier.
@@ -235,7 +235,7 @@ def run_cell(observatory, model_name: str, property_name: str) -> SweepCell:
     """Characterize one cell and time its phases.
 
     The one per-cell runner: the thread engine's pool and every
-    work-stealing worker call it.  ``characterize`` gets the model and
+    process-scheduler worker call it.  ``characterize`` gets the model and
     property positionally, which is where ``perfbench/tracer.py`` reads
     the cell from.  A non-library exception is re-raised as
     :class:`~repro.errors.CellExecutionError` with the original chained
@@ -291,9 +291,9 @@ class SweepResult:
             (``None`` when absent).  A kind is present when any of its
             counters moved; the cache whenever it is on, and under the
             thread engine with the shared cache's cumulative totals.
-        scheduler: work-stealing dispatch accounting
+        scheduler: process-scheduler dispatch accounting
             (:class:`~repro.runtime.scheduler.SchedulerTelemetry` —
-            per-worker busy/idle/steal counters, redispatches, crash
+            per-worker busy/idle counters, the dispatch log, crash
             salvage); ``None`` under the thread engine.
     """
 
@@ -607,9 +607,9 @@ def _dispatch_sweep(
         from repro.runtime.scheduler import WorkStealingSweep
 
         def journal_group(group_cells: List[SweepCell]) -> None:
-            # Called by the dispatch loop the moment a group's winning
-            # payload lands, so a parent killed mid-sweep has every
-            # already-won group on disk.
+            # Called by the dispatch loop the moment a group's payload
+            # lands, so a parent killed mid-sweep has every finished
+            # group on disk.
             if journal is not None:
                 for cell in group_cells:
                     journal.record_cell(

@@ -11,7 +11,7 @@ manager for fleet-scheduling tests without real hosts.  Import both from
 module, so ``python -m repro.testing.encoder_service`` runs it once, as
 ``__main__``.
 :class:`~repro.testing.chaos.ChaosPlan` composes every fault injector —
-scheduler worker crashes/stalls, replica transport faults, torn cache
+scheduler worker crashes, replica transport faults, torn cache
 writes, parent kill-points — into one seeded, replayable plan, and
 :func:`~repro.testing.chaos.assert_sweep_invariant` states the contract
 chaos tests check: every sweep completes, degrades with named failures,

@@ -1,18 +1,18 @@
 """Cross-layer chaos harness: one seeded plan for every fault injector.
 
-The repo grew fault hooks one layer at a time: the work-stealing
-scheduler honors ``$REPRO_SCHEDULER_TEST_CRASH`` / ``_STALL``, the
-loopback encoder service queues per-request transport faults, and the
-disk cache tier is exercised by hand-corrupting ``.npy`` entries.  Each
+The repo grew fault hooks one layer at a time: the process scheduler
+honors ``$REPRO_SCHEDULER_TEST_CRASH``, the loopback encoder service
+queues per-request transport faults, and the disk cache tier is
+exercised by hand-corrupting ``.npy`` entries.  Each
 is useful alone but composing them — a worker crash *while* a replica
 flakes *while* a cache write tears — meant ad-hoc test plumbing.
 
 :class:`ChaosPlan` is that plumbing, unified.  A plan is a seeded,
 declarative composition of injections across layers:
 
-- **worker crashes / poisoned cells / stalls** — scheduler env-var
-  injection (``worker_crash`` / ``poison_cell`` / ``worker_stall``),
-  applied on ``__enter__`` and restored on ``__exit__``;
+- **worker crashes / poisoned cells** — scheduler env-var injection
+  (``worker_crash`` / ``poison_cell``), applied on ``__enter__`` and
+  restored on ``__exit__``;
 - **replica faults** — one-shot transport faults (timeout / http_500 /
   torn / tamper) queued FIFO onto a
   :class:`~repro.testing.encoder_service.LoopbackEncoderService` or a
@@ -47,7 +47,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.runtime.scheduler import CRASH_ENV, STALL_ENV
+from repro.runtime.scheduler import CRASH_ENV
 
 __all__ = [
     "ChaosPlan",
@@ -205,7 +205,6 @@ class ChaosPlan:
         self.seed = seed
         self.rng = random.Random(seed)
         self._crash_spec: Optional[str] = None
-        self._stall_spec: Optional[str] = None
         self._replica_faults: List[Tuple[object, Optional[int], str, float]] = []
         self._torn_dirs: List[str] = []
         self._kill_points: List[Tuple[str, int, int]] = []
@@ -232,16 +231,6 @@ class ChaosPlan:
     def poison_cell(self, model: str, property_name: str) -> "ChaosPlan":
         """Crash whichever worker reaches cell ``model/property_name``."""
         return self._set_crash(f"cell:{model}/{property_name}")
-
-    def worker_stall(self, worker_id: int, seconds: float) -> "ChaosPlan":
-        """Make worker ``worker_id`` a straggler before its first group."""
-        if self._stall_spec is not None:
-            raise ValueError(
-                f"scheduler stall injection already set to "
-                f"{self._stall_spec!r}; the scheduler honors one spec"
-            )
-        self._stall_spec = f"{worker_id}:{seconds}"
-        return self
 
     # -- transport layer ----------------------------------------------
 
@@ -327,7 +316,6 @@ class ChaosPlan:
         return {
             "seed": self.seed,
             "scheduler_crash": self._crash_spec,
-            "scheduler_stall": self._stall_spec,
             "replica_faults": [
                 {"kind": kind, "seconds": seconds, "replica": replica}
                 for _service, replica, kind, seconds in self._replica_faults
@@ -364,14 +352,9 @@ class ChaosPlan:
         if self._entered:
             raise RuntimeError("ChaosPlan is not reentrant; build a new plan")
         self._entered = True
-        env: Dict[str, Optional[str]] = {}
         if self._crash_spec is not None:
-            env[CRASH_ENV] = self._crash_spec
-        if self._stall_spec is not None:
-            env[STALL_ENV] = self._stall_spec
-        for key, value in env.items():
-            self._saved_env[key] = os.environ.get(key)
-            os.environ[key] = value  # type: ignore[assignment]
+            self._saved_env[CRASH_ENV] = os.environ.get(CRASH_ENV)
+            os.environ[CRASH_ENV] = self._crash_spec
         for service, replica, kind, seconds in self._replica_faults:
             if hasattr(service, "replicas"):  # FleetHarness
                 index = (

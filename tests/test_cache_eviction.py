@@ -7,8 +7,7 @@ some operations hold still, and checks, after **every prefix** of
 operations:
 
 1. the directory never exceeds ``max_bytes``;
-2. an entry younger than ``max_age`` is never evicted while an
-   older-than-``max_age`` entry remains, and size eviction is LRU;
+2. size eviction is LRU;
 3. the index a fresh tier replays from the log always matches the
    directory contents exactly.
 
@@ -30,7 +29,6 @@ from repro.runtime.cache import EmbeddingCache
 from repro.runtime.disk import INDEX_NAME, DiskTier
 
 MAX_BYTES = 2000
-MAX_AGE = 50.0
 
 # float64 payload lengths; the largest exceeds the whole byte budget and
 # must be rejected outright rather than evicting everything else.
@@ -82,7 +80,7 @@ def read_index(directory):
     return tier._load_index()
 
 
-def check_invariants(directory, snapshot, now, touched=None):
+def check_invariants(directory, snapshot, touched=None):
     """Assert the three eviction invariants after one operation.
 
     ``touched`` is the key the operation just wrote: a re-``put`` of a
@@ -102,18 +100,12 @@ def check_invariants(directory, snapshot, now, touched=None):
 
     victims = set(snapshot) - set(entries)
     for victim in victims:
-        victim_age = now - snapshot[victim]["created"]
-        if victim_age <= MAX_AGE:  # young victim: size eviction
-            for survivor in entries:
-                if survivor == touched or survivor not in snapshot:
-                    continue  # just (re)written: most recent by definition
-                survivor_age = now - snapshot[survivor]["created"]
-                assert survivor_age <= MAX_AGE, (
-                    "young entry evicted while an expired one remained"
-                )
-                assert snapshot[survivor]["atime"] >= snapshot[victim]["atime"], (
-                    "evicted a more recently used entry (LRU violated)"
-                )
+        for survivor in entries:
+            if survivor == touched or survivor not in snapshot:
+                continue  # just (re)written: most recent by definition
+            assert snapshot[survivor]["atime"] >= snapshot[victim]["atime"], (
+                "evicted a more recently used entry (LRU violated)"
+            )
     return entries
 
 
@@ -135,7 +127,7 @@ def test_random_sequences_hold_invariants(operations):
     ):
         clock = FakeClock()
         tiers = [
-            DiskTier(directory, max_bytes=MAX_BYTES, max_age=MAX_AGE, clock=clock)
+            DiskTier(directory, max_bytes=MAX_BYTES, clock=clock)
             for _ in TIERS
         ]
         snapshot = {}
@@ -160,7 +152,7 @@ def test_random_sequences_hold_invariants(operations):
                 if value is not None:
                     assert value.shape[0] in SIZES
                     assert float(value[0]) == 1.5
-            snapshot = check_invariants(directory, snapshot, clock.now, touched)
+            snapshot = check_invariants(directory, snapshot, touched)
 
 
 @settings(max_examples=25, deadline=None)
@@ -192,34 +184,6 @@ def test_unbounded_tier_index_always_matches_directory(operations):
             if live:
                 assert set(read_index(directory)) == live
         assert sum(tier.evictions for tier in tiers) == 0
-
-
-class TestExpiry:
-    def test_expired_entry_is_a_miss_and_reclaimed(self):
-        with tempfile.TemporaryDirectory() as directory:
-            clock = FakeClock()
-            tier = DiskTier(directory, max_age=10.0, clock=clock)
-            tier.put("k", np.ones(8))
-            clock.now += 5.0
-            assert tier.get("k") is not None
-            clock.now += 10.1  # creation age governs expiry, not access
-            assert tier.get("k") is None
-            assert disk_listing(directory) == {}
-            assert tier.evictions == 1
-
-    def test_expired_entries_reclaimed_before_young_ones(self):
-        with tempfile.TemporaryDirectory() as directory:
-            clock = FakeClock()
-            tier = DiskTier(
-                directory, max_bytes=1200, max_age=50.0, clock=clock
-            )
-            tier.put("old", np.ones(64))  # ~640 bytes
-            clock.now += 60.0  # "old" expires
-            tier.put("young", np.ones(64))
-            tier.put("trigger", np.ones(4))  # forces reclaim over budget
-            listing = disk_listing(directory)
-            assert "old" not in listing
-            assert {"young", "trigger"} <= set(listing)
 
 
 class TestRePut:
@@ -267,11 +231,7 @@ class TestByteBudgetThroughEmbeddingCache:
     def test_rejects_bad_budgets(self):
         with pytest.raises(ValueError):
             DiskTier("/tmp/unused", max_bytes=0)
-        with pytest.raises(ValueError):
-            DiskTier("/tmp/unused", max_age=0)
         from repro.runtime.planner import RuntimeConfig
 
         with pytest.raises(ValueError):
             RuntimeConfig(cache_max_bytes=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(cache_max_age=-1.0)

@@ -18,7 +18,7 @@ from repro.core.framework import DatasetSizes
 from repro.errors import CellPoisonedError
 from repro.runtime.disk import DiskTier
 from repro.runtime.faults import FaultPolicy
-from repro.runtime.scheduler import CRASH_ENV, STALL_ENV
+from repro.runtime.scheduler import CRASH_ENV
 from repro.testing import ChaosPlan, assert_sweep_invariant
 
 SIZES = DatasetSizes(
@@ -47,19 +47,17 @@ def cell_dicts(sweep):
 class TestChaosPlanMechanics:
     def test_env_injection_applied_and_restored(self, monkeypatch):
         monkeypatch.delenv(CRASH_ENV, raising=False)
-        monkeypatch.setenv(STALL_ENV, "9:1.0")  # pre-existing value survives
-        plan = ChaosPlan(seed=1).worker_crash(0).worker_stall(1, 0.5)
-        with plan:
+        with ChaosPlan(seed=1).worker_crash(0):
             assert os.environ[CRASH_ENV] == "worker:0"
-            assert os.environ[STALL_ENV] == "1:0.5"
         assert CRASH_ENV not in os.environ
-        assert os.environ[STALL_ENV] == "9:1.0"
+        monkeypatch.setenv(CRASH_ENV, "worker:9")  # pre-existing value survives
+        with ChaosPlan(seed=1).poison_cell("bert", "p"):
+            assert os.environ[CRASH_ENV] == "cell:bert/p"
+        assert os.environ[CRASH_ENV] == "worker:9"
 
     def test_one_scheduler_spec_enforced(self):
         with pytest.raises(ValueError, match="one spec"):
             ChaosPlan(seed=1).worker_crash(0).poison_cell("bert", "p")
-        with pytest.raises(ValueError, match="one spec"):
-            ChaosPlan(seed=1).worker_stall(0, 1.0).worker_stall(1, 1.0)
 
     def test_not_reentrant(self):
         plan = ChaosPlan(seed=1)

@@ -3,18 +3,18 @@
 Extends the guarantee ``tests/test_runtime_sweep.py`` locks in for thread
 mode: sweep results are bit-identical across execution modes, worker
 counts, and scheduling — distributing cells across spawned processes
-changes wall-clock, never numbers.  ``execution="process"`` now runs the
-work-stealing scheduler (:mod:`repro.runtime.scheduler`), so these tests
-exercise it end to end; scheduler-specific behavior (steals, crash
-salvage, cost priors) lives in ``tests/test_runtime_scheduler.py``.
+changes wall-clock, never numbers.  ``execution="process"`` runs the
+process scheduler (:mod:`repro.runtime.scheduler`), so these tests
+exercise it end to end; scheduler-specific behavior (one dispatch per
+group, crash salvage) lives in ``tests/test_runtime_scheduler.py``.
 """
 
 import pytest
 
-from repro import Observatory, RuntimeConfig
+from repro import Observatory, RuntimeConfig, TransportConfig
 from repro.analysis.report import render_sweep
 from repro.core.framework import DatasetSizes
-from repro.errors import ObservatoryError
+from repro.errors import CellPoisonedError, ObservatoryError, WorkerCrashError
 from repro.runtime import order_cells, resolve_execution
 from repro.runtime.cache import CacheStats
 
@@ -92,6 +92,25 @@ class TestProcessDeterminism:
         assert sweep.skipped[0].reason.startswith("pairwise property")
         assert sweep.workers == 0  # no workers spawned...
         assert sweep.cache_stats is None  # ...so no cache was touched
+
+
+class TestTypedAbort:
+    def test_cell_failure_raises_its_own_error_not_a_crash(self):
+        # Nothing listens on port 9, so every cell fails the same way.  A
+        # worker reports that failure instead of dying with it, so the
+        # parent raises it by name rather than re-running it elsewhere.
+        observatory = make_observatory(
+            backend="remote",
+            transport=TransportConfig(
+                urls=("http://127.0.0.1:9",), timeout=1.0, retries=0
+            ),
+        )
+        with pytest.raises(ObservatoryError) as caught:
+            observatory.sweep(MODELS, PROPS, max_workers=2, execution="process")
+        assert not isinstance(caught.value, (WorkerCrashError, CellPoisonedError))
+        message = str(caught.value)
+        assert "RemoteEncodeError" in message
+        assert any(f"cell {m}/{p}" in message for m in MODELS for p in PROPS)
 
 
 class TestMergedCacheStats:

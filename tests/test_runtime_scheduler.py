@@ -1,4 +1,4 @@
-"""Work-stealing scheduler tests: dispatch loop properties and oracles.
+"""Process scheduler tests: dispatch loop properties and oracles.
 
 Three layers, cheapest first:
 
@@ -6,12 +6,13 @@ Three layers, cheapest first:
 2. A Hypothesis suite driving :class:`GroupScheduler` with in-process
    fake (thread) workers, exploring worker counts, group shapes, and
    crash subsets without paying spawn cost: every group must complete
-   exactly once, in reconstructable order, for *any* interleaving.
+   exactly once, in reconstructable order, for *any* interleaving.  A
+   slow worker's group is never dispatched twice, and a stuck one is
+   bounded by the deadline.
 3. Spawned-process oracles — the full :class:`WorkStealingSweep` engine
    must stay bit-identical to the reference ``execution="thread"``
-   engine, including under injected worker crashes (salvage) and stalls
-   (straggler re-dispatch), and a poisoned cell must fail loudly naming
-   itself.
+   engine, including under injected worker crashes (salvage), and a
+   poisoned cell must fail loudly naming itself.
 """
 
 import os
@@ -29,10 +30,10 @@ from hypothesis import strategies as st
 from repro import Observatory, RuntimeConfig
 from repro.analysis.report import render_sweep
 from repro.core.framework import DatasetSizes
-from repro.errors import ObservatoryError
+from repro.errors import DeadlineExceededError, ObservatoryError
+from repro.runtime.faults import Deadline
 from repro.runtime.scheduler import (
     CRASH_ENV,
-    STALL_ENV,
     GroupScheduler,
     WorkStealingSweep,
     _FanInResults,
@@ -115,9 +116,10 @@ class FakeWorker(threading.Thread):
     ``crash`` makes the thread die silently the first time it receives a
     group (``is_alive()`` goes False — exactly what the scheduler's
     liveness poll sees for a dead process); ``crash_groups`` makes it die
-    only on those group ids.  ``delay`` simulates a straggler grinding
-    each group.  ``ready_after`` names a worker that must be dead, and
-    reaped, before this one posts ``ready`` (a slow spawn).
+    only on those group ids.  ``delay`` simulates a slow worker grinding
+    each group; ``terminate`` cuts it short.  ``ready_after`` names a
+    worker that must be dead, and reaped, before this one posts
+    ``ready`` (a slow spawn).
     """
 
     def __init__(
@@ -132,6 +134,7 @@ class FakeWorker(threading.Thread):
         self.delay = delay
         self.crash_groups = set(crash_groups)
         self.ready_after = ready_after
+        self.terminated = threading.Event()
 
     def run(self):
         if self.ready_after is not None:
@@ -142,11 +145,11 @@ class FakeWorker(threading.Thread):
             message = self.inbox.get()
             if message[0] == "stop":
                 return
-            _, group_id, cells, _duplicate = message
+            _, group_id, cells = message
             if self.crash or group_id in self.crash_groups:
                 return  # simulated hard death mid-group
-            if self.delay:
-                time.sleep(self.delay)
+            if self.terminated.wait(self.delay):
+                return  # terminated mid-group
             self.results.put(
                 ("done", self.worker_id, group_id, self.delay, {"cells": list(cells)})
             )
@@ -155,7 +158,9 @@ class FakeWorker(threading.Thread):
         self.inbox.put(message)
 
     def terminate(self):
-        self.inbox.put(("stop",))  # cooperative: threads can't be killed
+        # Cooperative: threads can't be killed.
+        self.terminated.set()
+        self.inbox.put(("stop",))
 
 
 def run_fake(groups, workers, **scheduler_kwargs):
@@ -200,21 +205,58 @@ class TestGroupSchedulerProperties:
         assert run.telemetry.crashes <= sum(crashes)
         assert run.telemetry.salvaged_groups == run.telemetry.crashes
 
-    def test_straggler_redispatch_first_result_wins(self):
+    def test_each_group_is_dispatched_once(self):
         groups, cells = groups_from_spec([1, 1, 1])
         results = queue.Queue()
-        # Worker 0 grinds 3s per group; worker 1 is instant and steals.
+        # Worker 0 takes 1s per group.  Worker 1 is quick, but not so
+        # quick that it drains the queue before worker 0 is ready; once
+        # it has, it idles instead of running worker 0's group again.
         workers = [
-            FakeWorker(0, results, delay=3.0),
-            FakeWorker(1, results),
+            FakeWorker(0, results, delay=1.0),
+            FakeWorker(1, results, delay=0.1),
         ]
-        run = run_fake(groups, workers, steal_min_age=0.05, steal_age_factor=0.0)
+        run = run_fake(groups, workers)
         merged = [c for g in groups for c in run.payloads[g.group_id]["cells"]]
         assert merged == cells
-        assert run.telemetry.redispatches >= 1
-        assert run.telemetry.workers[1].steals >= 1
-        abandoned_or_won = {e["outcome"] for e in run.telemetry.dispatch_log}
-        assert "won" in abandoned_or_won
+        log = run.telemetry.dispatch_log
+        assert sorted(e["group"] for e in log) == [0, 1, 2]
+        assert [e["outcome"] for e in log] == ["won"] * 3
+        assert run.telemetry.workers[1].groups == 2
+
+    def test_stuck_worker_bounded_by_deadline(self):
+        # Worker 0 would hold its group for 30s.  The 2s deadline ends the
+        # run long before that, and shutdown terminates the worker.
+        groups, _ = groups_from_spec([1, 1, 1])
+
+        def run_with_stuck_worker(on_error):
+            results = queue.Queue()
+            workers = [
+                FakeWorker(0, results, delay=30.0),
+                FakeWorker(1, results, delay=0.1),
+            ]
+            started = time.monotonic()
+            try:
+                return run_fake(
+                    groups, workers, on_error=on_error, deadline=Deadline.start(2.0)
+                )
+            finally:
+                assert time.monotonic() - started < 15.0
+                for worker in workers:
+                    worker.join(5.0)
+                    assert not worker.is_alive()
+
+        run = run_with_stuck_worker("degrade")
+        log = run.telemetry.dispatch_log
+        stuck = next(e["group"] for e in log if e["worker"] == 0)
+        assert list(run.failures) == [stuck]
+        assert isinstance(run.failures[stuck], DeadlineExceededError)
+        assert sorted(run.payloads) == sorted({0, 1, 2} - {stuck})
+        outcomes = {e["group"]: e["outcome"] for e in log}
+        assert outcomes.pop(stuck) == "abandoned"
+        assert set(outcomes.values()) == {"won"}
+
+        with pytest.raises(DeadlineExceededError):
+            run_with_stuck_worker("abort")
 
     def test_all_workers_dead_raises_naming_unfinished_cells(self):
         groups, _ = groups_from_spec([2])
@@ -332,17 +374,6 @@ class TestProcessOracles:
             ObservatoryError, match=r"poisoned.*bert/sample_fidelity"
         ):
             engine.run([("bert", "sample_fidelity")])
-
-    def test_straggler_redispatch_keeps_results_identical(
-        self, thread_cells, monkeypatch
-    ):
-        monkeypatch.setenv(STALL_ENV, "0:30")
-        engine = WorkStealingSweep(
-            make_observatory(), max_workers=2, steal_min_age=0.2, steal_age_factor=1.0
-        )
-        outcome = engine.run(order_cells([(m, p) for p in PROPS for m in MODELS]))
-        assert cell_dicts(outcome.cells) == thread_cells
-        assert outcome.scheduler.redispatches >= 1
 
 
 class TestFanInResults:
