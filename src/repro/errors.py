@@ -70,10 +70,15 @@ class SweepError(ObservatoryError):
 class CellExecutionError(SweepError):
     """One (model, property) cell raised while characterizing.
 
-    Raised under ``on_error="abort"``; under ``on_error="degrade"`` the
-    same condition is recorded as a
-    :class:`~repro.runtime.sweep.CellFailure` instead.  The original
-    exception is always chained as ``__cause__``.
+    Raised under ``on_error="abort"`` by both sweep engines, with one
+    message for one failing cell (``cell <model>/<property> failed:
+    <ErrorClass>: <message>``, built by
+    :meth:`~repro.runtime.sweep.CellFailure.abort_error`); under
+    ``on_error="degrade"`` the same condition is recorded as a
+    :class:`~repro.runtime.sweep.CellFailure` instead.  On the thread
+    engine the original exception is chained as ``__cause__``.  A process
+    worker cannot ship the live exception (it may not pickle), so there
+    ``__cause__`` is ``None`` and the message alone names the original.
     """
 
     def __init__(self, model_name: str, property_name: str, message: str):

@@ -25,7 +25,9 @@ modes trade latency against guarantees:
     and enforced by the test suite and CI on representative workloads.
 
 Partition plans are derived data keyed to the store generation (rebuilt
-whenever the corpus changes); the store itself owns crash safety.
+whenever the corpus changes); the store itself owns crash safety, and
+every open checks each shard's byte sizes and sha256 digests, dropping a
+shard that fails rather than serving it.
 """
 
 from __future__ import annotations
@@ -74,11 +76,9 @@ class ColumnIndex:
         *,
         dim: Optional[int] = None,
         create: bool = False,
-        verify: str = "digest",
     ):
         self._directory = directory
-        self._verify = verify
-        self._store = ShardStore(directory, dim=dim, create=create, verify=verify)
+        self._store = ShardStore(directory, dim=dim, create=create)
         self._dense: Optional[np.ndarray] = None
         self._dense_generation = -1
         self._all_keys: List[str] = []
@@ -95,9 +95,9 @@ class ColumnIndex:
         return cls(directory, dim=dim, create=True)
 
     @classmethod
-    def open(cls, directory: str, *, verify: str = "digest") -> "ColumnIndex":
+    def open(cls, directory: str) -> "ColumnIndex":
         """Open an existing index; raises if the directory holds none."""
-        return cls(directory, verify=verify)
+        return cls(directory)
 
     @classmethod
     def build(
@@ -384,10 +384,10 @@ class ColumnIndex:
     # Pickle support: the on-disk store is the state; reopening replays
     # verification so an unpickled index can never serve dropped shards.
     def __getstate__(self) -> Dict[str, object]:
-        return {"directory": self._directory, "verify": self._verify}
+        return {"directory": self._directory}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__init__(str(state["directory"]), verify=str(state["verify"]))
+        self.__init__(str(state["directory"]))
 
     def __repr__(self) -> str:
         return (

@@ -16,9 +16,11 @@ per-file sha256 digests.  The persistence protocol follows the
   POSIX) — a reader never observes a half-written shard or manifest;
 - manifest mutations happen under an ``index.lock`` file with stale-lock
   reclaim, so a crashed appender never wedges the directory;
-- a shard that fails verification on open (missing file, size mismatch,
-  digest mismatch, keys/rows disagreement, unloadable payload) is
-  **dropped** — unlinked and removed from the manifest — never served.
+- every shard is verified on open: all three files' byte sizes *and*
+  sha256 digests (a same-size bit flip is caught too).  A shard that
+  fails (missing file, size mismatch, digest mismatch, keys/rows
+  disagreement, unloadable payload) is **dropped** — unlinked and
+  removed from the manifest — never served.
   The surviving shards keep the store queryable; the dropped rows are
   simply absent and the caller re-appends them from the embedding cache.
 - a missing or torn manifest is **rebuilt** from a directory scan (shard
@@ -101,9 +103,6 @@ class ShardStore:
         directory: storage directory (created if missing).
         dim: embedding dimensionality; required when creating a fresh
             store, validated against the manifest when opening one.
-        verify: ``"digest"`` (default) checks sha256 of every shard file
-            on open; ``"size"`` only checks byte sizes (cheaper, still
-            catches truncation).  Failing shards are dropped, not served.
         lock_timeout / stale_age: lock reclaim patience and the age past
             which orphan temp/shard files from crashed appenders are
             swept (mirrors the disk cache tier).
@@ -115,15 +114,11 @@ class ShardStore:
         *,
         dim: Optional[int] = None,
         create: bool = False,
-        verify: str = "digest",
         clock: Callable[[], float] = time.time,
         lock_timeout: float = 5.0,
         stale_age: float = 10.0,
     ):
-        if verify not in ("digest", "size"):
-            raise ColumnIndexError(f"verify must be 'digest' or 'size', got {verify!r}")
         self.directory = directory
-        self.verify = verify
         self.dropped_shards = 0  # corrupt/torn shards dropped on open
         self.swept_files = 0  # stale temp/orphan files removed
         self._clock = clock
@@ -310,7 +305,7 @@ class ShardStore:
             for path, size, digest in checks:
                 if os.path.getsize(path) != size:
                     return False
-                if self.verify == "digest" and _sha256_file(path) != digest:
+                if _sha256_file(path) != digest:
                     return False
         except OSError:
             return False

@@ -7,14 +7,14 @@ serialization provenance: value tokens know their (row, column), header
 tokens their column, and per-column ``[CLS]`` anchors are used directly when
 the model provides them (DODUO).
 
-All entry points consume the columnar
-:class:`~repro.models.token_array.TokenArray` (legacy ``Token`` lists are
-coerced on entry).  The per-token Python loops of the object era are gone
-— weight vectors come from vectorized boolean masks over the provenance
-arrays — but each level's pooled result is still computed with the *exact*
-expression the loops fed (``(states * weights[:, None]).sum(axis=0) /
-weights.sum()``), which keeps every output bit-identical to the legacy
-path (:mod:`repro.models.reference_plane` locks this in).  No level ever
+Every entry point takes the columnar
+:class:`~repro.models.token_array.TokenArray` only; wrap a ``Token`` list
+with ``TokenArray.from_tokens``.  The per-token Python loops of the object
+era are gone — weight vectors come from vectorized boolean masks over the
+provenance arrays — but each level's pooled result is still computed with
+the *exact* expression the loops fed (``(states * weights[:, None]).sum(axis=0)
+/ weights.sum()``), which keeps every output bit-identical to the per-token
+oracle (:mod:`repro.models.reference_plane` locks this in).  No level ever
 allocates a dense ``(n_levels, n_tokens)`` weight matrix: masks are built
 one level at a time, so transient memory stays linear in sequence length.
 """
@@ -31,7 +31,6 @@ from repro.models.token_array import (
     ROLE_HEADER,
     ROLE_VALUE,
     TokenArray,
-    TokenSequence,
 )
 
 __all__ = [
@@ -53,7 +52,7 @@ def _weighted_mean(states: np.ndarray, weights: np.ndarray) -> Optional[np.ndarr
 
 
 def column_embeddings(
-    tokens: TokenSequence,
+    tokens: TokenArray,
     states: np.ndarray,
     n_columns: int,
     *,
@@ -67,18 +66,17 @@ def column_embeddings(
     (weight ``header_weight``) of the column are mean-pooled.  Columns whose
     tokens were all truncated away fall back to the zero vector.
     """
-    ta = TokenArray.coerce(tokens)
     dim = states.shape[1] if states.size else 0
     out = np.zeros((n_columns, dim), dtype=np.float64)
     if use_cls_anchor:
-        anchored = np.nonzero(ta.is_anchor & (ta.cols < n_columns))[0]
+        anchored = np.nonzero(tokens.is_anchor & (tokens.cols < n_columns))[0]
         # Fancy assignment keeps sequence order: a duplicate anchor for the
         # same column wins with its *last* occurrence, like the old loop.
-        out[ta.cols[anchored]] = states[anchored]
+        out[tokens.cols[anchored]] = states[anchored]
         return out
-    cols = ta.cols
-    value = ta.role_ids == ROLE_VALUE
-    header = ta.role_ids == ROLE_HEADER
+    cols = tokens.cols
+    value = tokens.role_ids == ROLE_VALUE
+    header = tokens.role_ids == ROLE_HEADER
     for c in range(n_columns):
         in_col = cols == c
         weights = np.where(
@@ -91,7 +89,7 @@ def column_embeddings(
 
 
 def row_embeddings(
-    tokens: TokenSequence, states: np.ndarray, n_rows: int
+    tokens: TokenArray, states: np.ndarray, n_rows: int
 ) -> np.ndarray:
     """Row embeddings for the first ``n_rows`` serialized rows.
 
@@ -99,11 +97,10 @@ def row_embeddings(
     the zero vector; callers that need the embedded-row count should use
     :func:`embedded_row_count`.
     """
-    ta = TokenArray.coerce(tokens)
     dim = states.shape[1] if states.size else 0
     out = np.zeros((n_rows, dim), dtype=np.float64)
-    rows = ta.rows
-    value = ta.role_ids == ROLE_VALUE
+    rows = tokens.rows
+    value = tokens.role_ids == ROLE_VALUE
     for r in range(n_rows):
         weights = ((rows == r) & value).astype(np.float64)
         pooled = _weighted_mean(states, weights)
@@ -112,19 +109,17 @@ def row_embeddings(
     return out
 
 
-def embedded_row_count(tokens: TokenSequence) -> int:
+def embedded_row_count(tokens: TokenArray) -> int:
     """Number of distinct rows with at least one value token in the sequence."""
-    ta = TokenArray.coerce(tokens)
-    selected = ta.rows[(ta.rows >= 0) & (ta.role_ids == ROLE_VALUE)]
+    selected = tokens.rows[(tokens.rows >= 0) & (tokens.role_ids == ROLE_VALUE)]
     return int(np.unique(selected).size)
 
 
 def table_embedding(
-    tokens: TokenSequence, states: np.ndarray, *, header_weight: float = 1.0
+    tokens: TokenArray, states: np.ndarray, *, header_weight: float = 1.0
 ) -> np.ndarray:
     """Table embedding: mean over value + weighted header + caption tokens."""
-    ta = TokenArray.coerce(tokens)
-    role = ta.role_ids
+    role = tokens.role_ids
     weights = np.where(
         (role == ROLE_VALUE) | (role == ROLE_CAPTION),
         1.0,
@@ -137,18 +132,17 @@ def table_embedding(
 
 
 def cell_embedding(
-    tokens: TokenSequence, states: np.ndarray, row: int, col: int
+    tokens: TokenArray, states: np.ndarray, row: int, col: int
 ) -> Optional[np.ndarray]:
     """Mean of the value tokens of cell (row, col); None if truncated away."""
-    ta = TokenArray.coerce(tokens)
     weights = (
-        (ta.rows == row) & (ta.cols == col) & (ta.role_ids == ROLE_VALUE)
+        (tokens.rows == row) & (tokens.cols == col) & (tokens.role_ids == ROLE_VALUE)
     ).astype(np.float64)
     return _weighted_mean(states, weights)
 
 
 def cell_embeddings(
-    tokens: TokenSequence,
+    tokens: TokenArray,
     states: np.ndarray,
     coords: Sequence[Tuple[int, int]],
 ) -> Dict[Tuple[int, int], np.ndarray]:
@@ -160,16 +154,15 @@ def cell_embeddings(
     row).  Group means use ascending token indices, matching the legacy
     one-pass dict index bit-for-bit.
     """
-    ta = TokenArray.coerce(tokens)
     wanted = set(coords)
     out: Dict[Tuple[int, int], np.ndarray] = {}
     if not wanted:
         return out
-    value_idx = np.nonzero(ta.role_ids == ROLE_VALUE)[0]
+    value_idx = np.nonzero(tokens.role_ids == ROLE_VALUE)[0]
     if not value_idx.size:
         return out
-    rows = ta.rows[value_idx].astype(np.int64)
-    cols = ta.cols[value_idx].astype(np.int64)
+    rows = tokens.rows[value_idx].astype(np.int64)
+    cols = tokens.cols[value_idx].astype(np.int64)
     # Collapse (row, col) to one sortable key; +1 keeps -1 provenance and
     # the span covers both the tokens' and the requested columns.
     span = max(int(cols.max()), max(c for _, c in wanted), 0) + 2
@@ -193,7 +186,7 @@ def cell_embeddings(
 
 
 def entity_embedding(
-    tokens: TokenSequence,
+    tokens: TokenArray,
     states: np.ndarray,
     row: int,
     col: int,
@@ -206,8 +199,7 @@ def entity_embedding(
     associated metadata the paper describes (entity embeddings combine the
     mention with its context).
     """
-    ta = TokenArray.coerce(tokens)
-    in_cell = (ta.rows == row) & (ta.cols == col) & (ta.role_ids == ROLE_VALUE)
-    in_header = (ta.cols == col) & (ta.role_ids == ROLE_HEADER)
+    in_cell = (tokens.rows == row) & (tokens.cols == col) & (tokens.role_ids == ROLE_VALUE)
+    in_header = (tokens.cols == col) & (tokens.role_ids == ROLE_HEADER)
     weights = np.where(in_cell, 1.0, np.where(in_header, metadata_weight, 0.0))
     return _weighted_mean(states, weights)

@@ -1,13 +1,15 @@
 """The encoder-backend contract.
 
 An :class:`EncoderBackend` owns the *batching strategy* of an
-:class:`~repro.models.encoder.Encoder`: given many token sequences, it
-decides how they are grouped and driven through the encoder's one
-forward (``encode`` for one sequence, ``forward_batch`` for a stack of
-same-length ones).  The encoder keeps the transformer math; the backend
-keeps the scheduling policy.  This is the seam that lets the runtime
-swap exact same-length batching (:class:`LocalBackend`) for a remote
-encoder fleet without touching models, properties, or the planner.
+:class:`~repro.models.encoder.Encoder`: given many token sequences, each
+a :class:`~repro.models.token_array.TokenArray` (the one token stream the
+serializers emit), it decides how they are grouped and driven through
+the encoder's one forward (``encode`` for one sequence,
+``forward_batch`` for a stack of same-length ones).  The encoder keeps
+the transformer math; the backend keeps the scheduling policy.  This is
+the seam that lets the runtime swap exact same-length batching
+(:class:`LocalBackend`) for a remote encoder fleet without touching
+models, properties, or the planner.
 
 Every backend also exposes :meth:`aencode_batch`, the awaitable variant
 the streaming executor drives.  It offloads the synchronous
@@ -25,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.models.token_array import TokenSequence
+from repro.models.token_array import TokenArray
 
 # Above this token count the [B, L, L] attention temporaries of a stacked
 # batch exceed CPU cache and batched encoding measures *slower* than
@@ -69,7 +71,7 @@ class EncoderBackend(abc.ABC):
 
     @abc.abstractmethod
     def encode_batch(
-        self, encoder, token_lists: Sequence[TokenSequence], batch_size: int = 8
+        self, encoder, token_lists: Sequence[TokenArray], batch_size: int = 8
     ) -> List[np.ndarray]:
         """Encode every sequence; results in input order.
 
@@ -79,7 +81,7 @@ class EncoderBackend(abc.ABC):
         """
 
     async def aencode_batch(
-        self, encoder, token_lists: Sequence[TokenSequence], batch_size: int = 8
+        self, encoder, token_lists: Sequence[TokenArray], batch_size: int = 8
     ) -> List[np.ndarray]:
         """Awaitable :meth:`encode_batch`; default offloads to a thread.
 

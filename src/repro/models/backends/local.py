@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.models.backends.base import BATCH_MAX_LENGTH, EncoderBackend
-from repro.models.token_array import TokenSequence
+from repro.models.token_array import TokenArray
 
 
 class LocalBackend(EncoderBackend):
@@ -28,7 +28,7 @@ class LocalBackend(EncoderBackend):
     max_batch_length = BATCH_MAX_LENGTH
 
     def encode_batch(
-        self, encoder, token_lists: Sequence[TokenSequence], batch_size: int = 8
+        self, encoder, token_lists: Sequence[TokenArray], batch_size: int = 8
     ) -> List[np.ndarray]:
         results: List[Optional[np.ndarray]] = [None] * len(token_lists)
         by_length: Dict[int, List[int]] = {}

@@ -109,7 +109,7 @@ import numpy as np
 from repro.errors import DeadlineExceededError, ModelError, RemoteEncodeError
 from repro.models.backends.base import EncoderBackend
 from repro.models.backends.transport import TransportConfig
-from repro.models.token_array import TokenArray, TokenSequence, wire_to_jsonable
+from repro.models.token_array import TokenArray, wire_to_jsonable
 from repro.telemetry import Counters
 
 #: Environment fallback for the replica URLs when no TransportConfig is
@@ -417,7 +417,7 @@ class RemoteBackend(EncoderBackend):
     # -- encoding ------------------------------------------------------
 
     def encode_batch(
-        self, encoder, token_lists: Sequence[TokenSequence], batch_size: int = 8
+        self, encoder, token_lists: Sequence[TokenArray], batch_size: int = 8
     ) -> List[np.ndarray]:
         """Encode one chunk on one replica; results in input order.
 
@@ -429,8 +429,7 @@ class RemoteBackend(EncoderBackend):
         dim = encoder.config.dim
         results: List[Optional[np.ndarray]] = [None] * len(token_lists)
         pending: List[Tuple[int, TokenArray]] = []
-        for i, tokens in enumerate(token_lists):
-            ta = TokenArray.coerce(tokens)
+        for i, ta in enumerate(token_lists):
             if len(ta):
                 pending.append((i, ta))
             else:

@@ -54,7 +54,6 @@ from repro.models.token_array import (
     ROLE_ORDER,
     ROLE_SPECIAL,
     TokenArray,
-    TokenSequence,
 )
 from repro.models.weights import ModelWeights
 
@@ -63,15 +62,6 @@ _LN_EPS = 1e-6
 # Before any thread of ours exists: every ``import repro…`` imports this
 # module, so every process that encodes runs one BLAS thread.
 pin_one_thread()
-
-def _content_vector(piece: str, dim: int) -> np.ndarray:
-    """One piece's content vector (delegates to the interner's matrix).
-
-    The columnar hot path gathers whole sequences at once via
-    ``INTERNER.content_matrix(dim)[piece_ids]``; this per-piece form exists
-    for the legacy/reference token loop and external callers.
-    """
-    return INTERNER.content_vector(piece, dim)
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
@@ -129,7 +119,7 @@ class Encoder:
     # Input embedding
     # ------------------------------------------------------------------
 
-    def embed_tokens(self, tokens: TokenSequence) -> np.ndarray:
+    def embed_tokens(self, tokens: TokenArray) -> np.ndarray:
         """Initial embeddings: content + segment + positional terms.
 
         A fused gather over the columnar plane: content vectors by
@@ -139,21 +129,20 @@ class Encoder:
         because every term gathers the exact same float64 vectors and adds
         them in the same order.
         """
-        ta = TokenArray.coerce(tokens)
         cfg = self.config
-        n = len(ta)
-        x = INTERNER.content_matrix(cfg.dim)[ta.piece_ids]
-        x += 0.05 * self._segment_matrix[ta.role_ids]
+        n = len(tokens)
+        x = INTERNER.content_matrix(cfg.dim)[tokens.piece_ids]
+        x += 0.05 * self._segment_matrix[tokens.role_ids]
         if n and cfg.position_kind == PositionKind.ABSOLUTE and cfg.position_scale:
             x += cfg.position_scale * self.weights.position_matrix("abs", n)[:n]
         if cfg.position_kind == PositionKind.ROW_COLUMN:
             if cfg.row_position_scale:
-                self._add_positions(x, "row", ta.rows, cfg.row_position_scale)
+                self._add_positions(x, "row", tokens.rows, cfg.row_position_scale)
             if cfg.column_position_scale:
-                self._add_positions(x, "col", ta.cols, cfg.column_position_scale)
+                self._add_positions(x, "col", tokens.cols, cfg.column_position_scale)
         elif cfg.column_position_scale:
             # Mild column-identity signal for non-ROW_COLUMN schemes.
-            self._add_positions(x, "col", ta.cols, cfg.column_position_scale)
+            self._add_positions(x, "col", tokens.cols, cfg.column_position_scale)
         return x
 
     def _add_positions(
@@ -171,17 +160,16 @@ class Encoder:
     # Attention structure
     # ------------------------------------------------------------------
 
-    def attention_mask(self, tokens: TokenSequence) -> np.ndarray:
+    def attention_mask(self, tokens: TokenArray) -> np.ndarray:
         """Boolean [L, L] visibility matrix according to the config."""
-        ta = TokenArray.coerce(tokens)
-        n = len(ta)
+        n = len(tokens)
         kind = self.config.attention_mask
         if kind == AttentionMask.FULL:
             return np.ones((n, n), dtype=bool)
-        cols, rows = ta.cols, ta.rows
+        cols, rows = tokens.cols, tokens.rows
         is_global = (
-            (ta.role_ids == ROLE_SPECIAL) & (cols < 0) & (rows < 0)
-        ) | (ta.role_ids == ROLE_CAPTION)
+            (tokens.role_ids == ROLE_SPECIAL) & (cols < 0) & (rows < 0)
+        ) | (tokens.role_ids == ROLE_CAPTION)
         if kind == AttentionMask.COLUMN_LOCAL:
             same = (cols[:, None] == cols[None, :]) & (cols[:, None] >= 0)
         else:  # ROW_LOCAL
@@ -190,7 +178,7 @@ class Encoder:
         np.fill_diagonal(mask, True)
         return mask
 
-    def attention_bias(self, tokens: TokenSequence) -> np.ndarray:
+    def attention_bias(self, tokens: TokenArray) -> np.ndarray:
         """Additive [L, L] score bias (relative-distance decay for T5)."""
         n = len(tokens)
         if self.config.position_kind != PositionKind.RELATIVE:
@@ -199,7 +187,7 @@ class Encoder:
         distance = np.abs(idx[:, None] - idx[None, :])
         return -distance / self.config.relative_tau
 
-    def _score_term(self, tokens: TokenSequence) -> Optional[np.ndarray]:
+    def _score_term(self, tokens: TokenArray) -> Optional[np.ndarray]:
         """The per-sequence [L, L] score term: mask and bias folded into one.
 
         ``None`` when both are zero (a FULL mask without RELATIVE
@@ -218,7 +206,7 @@ class Encoder:
     # ------------------------------------------------------------------
 
     def encode_batch(
-        self, token_lists: Sequence[TokenSequence], batch_size: int = 8
+        self, token_lists: Sequence[TokenArray], batch_size: int = 8
     ) -> List[np.ndarray]:
         """Encode many token sequences via the configured backend.
 
@@ -231,7 +219,7 @@ class Encoder:
         return self.backend.encode_batch(self, token_lists, batch_size=batch_size)
 
     async def aencode_batch(
-        self, token_lists: Sequence[TokenSequence], batch_size: int = 8
+        self, token_lists: Sequence[TokenArray], batch_size: int = 8
     ) -> List[np.ndarray]:
         """Awaitable :meth:`encode_batch` (the streaming executor's hook)."""
         return await self.backend.aencode_batch(
@@ -278,14 +266,13 @@ class Encoder:
             )
         return x
 
-    def encode(self, tokens: TokenSequence) -> np.ndarray:
+    def encode(self, tokens: TokenArray) -> np.ndarray:
         """Final token embeddings, shape [len(tokens), dim]."""
-        tokens = TokenArray.coerce(tokens)
         if not len(tokens):
             return np.zeros((0, self.config.dim), dtype=np.float64)
         return self._transform(self.embed_tokens(tokens), self._score_term(tokens))
 
-    def forward_batch(self, token_lists: Sequence[TokenSequence]) -> List[np.ndarray]:
+    def forward_batch(self, token_lists: Sequence[TokenArray]) -> List[np.ndarray]:
         """Stacked forward over sequences of one length ([B, L, D]).
 
         Each sequence brings its own folded score term (all ``None`` when

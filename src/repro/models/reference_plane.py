@@ -1,13 +1,16 @@
-"""Frozen PR 3 token plane: the per-token-object reference implementations.
+"""The float oracle of the token plane: per-token-object reference loops.
 
 When the token plane went columnar (:mod:`repro.models.token_array`), the
 promise was *bit-identity*: every embedding the vectorized gathers and
 mask reductions produce must equal, to the last ulp, what the per-token
 loops produced.  That promise is only checkable against an executable
-oracle, so the legacy loops live here verbatim — operating on
-``List[Token]`` exactly as the object era did.  ``tests/test_token_array.py``
+oracle, so the per-token loops live here verbatim, operating on the
+``List[Token]`` view (``TokenArray.tokens()``).  ``tests/test_token_array.py``
 compares the production columnar path against these functions for every
-serializer × model family × backend.
+serializer × model family × backend, on the same host, so the oracle
+holds whatever BLAS core or ``exp`` loop produced the bits.  The token
+layout the serializers emit is pinned separately, by golden token
+digests (``tests/test_serializer_golden.py``).
 
 Do not "optimize" this module: its entire value is staying byte-for-byte
 faithful to the pre-columnar semantics.  Production code must never call
@@ -22,8 +25,9 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.models.config import AttentionMask, OutputNorm, PositionKind
-from repro.models.encoder import _content_vector, _layer_norm, _softmax
-from repro.models.token_array import Token, TokenRole
+from repro.models.encoder import _layer_norm, _softmax
+from repro.models.token_array import CONTENT_ANISOTROPY, INTERNER, Token, TokenRole
+from repro.seeding import token_vector
 
 
 # ----------------------------------------------------------------------
@@ -37,7 +41,7 @@ def embed_tokens_reference(encoder, tokens: List[Token]) -> np.ndarray:
     dim = cfg.dim
     x = np.empty((len(tokens), dim), dtype=np.float64)
     for i, tok in enumerate(tokens):
-        vec = _content_vector(tok.piece, dim).copy()
+        vec = token_vector(tok.piece, dim) + CONTENT_ANISOTROPY * INTERNER.global_direction(dim)
         vec += 0.05 * encoder.weights.segment_vector(tok.role.value)
         if cfg.position_kind == PositionKind.ABSOLUTE and cfg.position_scale:
             vec += cfg.position_scale * encoder.weights.position_vector("abs", i)

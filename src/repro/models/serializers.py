@@ -13,10 +13,10 @@ limit the way the paper does: *keep every column, binary-search the maximum
 number of rows that fits*.
 
 Serializers emit the columnar :class:`~repro.models.token_array.TokenArray`
-natively — piece ids are interned at append time, so the hot path never
-constructs per-token objects.  The legacy ``Token``-object emitters
-(``serialize_tokens`` and friends) are kept verbatim as the compat /
-reference API: ablations and the bit-identity suite compare the two.
+— piece ids are interned at append time, so no per-token object is ever
+built.  The layout every serializer emits is pinned by golden token
+digests over a seeded corpus (``tests/test_serializer_golden.py``);
+``serialize(t).tokens()`` gives the ``Token``-object view.
 """
 
 from __future__ import annotations
@@ -30,18 +30,14 @@ from repro.models.token_array import (
     ROLE_HEADER,
     ROLE_SPECIAL,
     ROLE_VALUE,
-    Token,
     TokenArray,
     TokenArrayBuilder,
-    TokenRole,
 )
 from repro.relational.table import Table
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocab import CELL, CLS, HEADER, ROW, SEP
 
 __all__ = [
-    "Token",
-    "TokenRole",
     "TokenArray",
     "RowWiseSerializer",
     "ColumnWiseSerializer",
@@ -162,58 +158,6 @@ class RowWiseSerializer:
             return self.serialize_rows(table, 1)[: self.max_tokens]
         return self.serialize_rows(table, n_rows)
 
-    # -- legacy Token-object path (compat / reference) -----------------
-
-    def serialize_rows_tokens(self, table: Table, n_rows: int) -> List[Token]:
-        """Frozen PR 3 object emitter; layout-identical to the columnar path."""
-        tokens: List[Token] = [Token(CLS, TokenRole.SPECIAL)]
-        if self.include_caption and table.caption:
-            tokens.extend(
-                Token(p, TokenRole.CAPTION)
-                for p in self.tokenizer.tokenize(table.caption)
-            )
-            tokens.append(Token(SEP, TokenRole.SPECIAL))
-        if self.include_header:
-            for c, name in enumerate(table.header):
-                tokens.extend(
-                    Token(p, TokenRole.HEADER, col=c)
-                    for p in self.tokenizer.tokenize(name)
-                )
-                tokens.append(Token(HEADER, TokenRole.SPECIAL, col=c))
-            tokens.append(Token(SEP, TokenRole.SPECIAL))
-        for r in range(min(n_rows, table.num_rows)):
-            tokens.append(Token(ROW, TokenRole.SPECIAL, row=r))
-            for c in range(table.num_columns):
-                value = table.cell(r, c)
-                pieces = self.tokenizer.tokenize("" if value is None else str(value))
-                tokens.extend(Token(p, TokenRole.VALUE, row=r, col=c) for p in pieces)
-                if c < table.num_columns - 1:
-                    tokens.append(Token(CELL, TokenRole.SPECIAL, row=r, col=c))
-            tokens.append(Token(SEP, TokenRole.SPECIAL, row=r))
-        return tokens
-
-    def fit_rows_tokens(self, table: Table) -> int:
-        """Binary search probing with the object emitter (PR 3 cost model)."""
-        lo, hi, best = 1, table.num_rows, 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if len(self.serialize_rows_tokens(table, mid)) <= self.max_tokens:
-                best = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return best
-
-    def serialize_tokens(self, table: Table, n_rows: Optional[int] = None) -> List[Token]:
-        """Legacy ``List[Token]`` form of :meth:`serialize` (same truncation)."""
-        if table.num_rows == 0:
-            return self.serialize_rows_tokens(table, 0)[: self.max_tokens]
-        if n_rows is None:
-            n_rows = self.fit_rows_tokens(table)
-        if n_rows == 0:
-            return self.serialize_rows_tokens(table, 1)[: self.max_tokens]
-        return self.serialize_rows_tokens(table, n_rows)
-
 
 class ColumnWiseSerializer:
     """Column-by-column serialization with per-column [CLS] anchors (DODUO).
@@ -275,48 +219,6 @@ class ColumnWiseSerializer:
             return self.serialize_rows(table, 1)[: self.max_tokens]
         return self.serialize_rows(table, n_rows)
 
-    # -- legacy Token-object path (compat / reference) -----------------
-
-    def serialize_rows_tokens(self, table: Table, n_rows: int) -> List[Token]:
-        """Frozen PR 3 object emitter; layout-identical to the columnar path."""
-        tokens: List[Token] = []
-        for c in range(table.num_columns):
-            tokens.append(Token(CLS, TokenRole.SPECIAL, col=c))
-            if self.include_header:
-                tokens.extend(
-                    Token(p, TokenRole.HEADER, col=c)
-                    for p in self.tokenizer.tokenize(table.header[c])
-                )
-                tokens.append(Token(HEADER, TokenRole.SPECIAL, col=c))
-            for r in range(min(n_rows, table.num_rows)):
-                value = table.cell(r, c)
-                pieces = self.tokenizer.tokenize("" if value is None else str(value))
-                tokens.extend(Token(p, TokenRole.VALUE, row=r, col=c) for p in pieces)
-            tokens.append(Token(SEP, TokenRole.SPECIAL, col=c))
-        return tokens
-
-    def fit_rows_tokens(self, table: Table) -> int:
-        """Binary search probing with the object emitter (PR 3 cost model)."""
-        lo, hi, best = 1, table.num_rows, 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if len(self.serialize_rows_tokens(table, mid)) <= self.max_tokens:
-                best = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return best
-
-    def serialize_tokens(self, table: Table, n_rows: Optional[int] = None) -> List[Token]:
-        """Legacy ``List[Token]`` form of :meth:`serialize` (same truncation)."""
-        if table.num_rows == 0:
-            return self.serialize_rows_tokens(table, 0)[: self.max_tokens]
-        if n_rows is None:
-            n_rows = self.fit_rows_tokens(table)
-        if n_rows == 0:
-            return self.serialize_rows_tokens(table, 1)[: self.max_tokens]
-        return self.serialize_rows_tokens(table, n_rows)
-
 
 class RowTemplateSerializer:
     """Per-row natural-language templates (TapTap).
@@ -351,28 +253,3 @@ class RowTemplateSerializer:
     def serialize(self, table: Table) -> List[TokenArray]:
         """One token sequence per row."""
         return [self.serialize_row(table, r) for r in range(table.num_rows)]
-
-    # -- legacy Token-object path (compat / reference) -----------------
-
-    def serialize_row_tokens(self, table: Table, row: int) -> List[Token]:
-        """Frozen PR 3 object emitter; layout-identical to the columnar path."""
-        if not 0 <= row < table.num_rows:
-            raise SerializationError(f"row {row} out of range")
-        tokens: List[Token] = [Token(CLS, TokenRole.SPECIAL, row=row)]
-        for c, name in enumerate(table.header):
-            tokens.extend(
-                Token(p, TokenRole.HEADER, row=row, col=c)
-                for p in self.tokenizer.tokenize(name)
-            )
-            tokens.append(Token("is", TokenRole.SPECIAL, row=row, col=c))
-            value = table.cell(row, c)
-            tokens.extend(
-                Token(p, TokenRole.VALUE, row=row, col=c)
-                for p in self.tokenizer.tokenize("" if value is None else str(value))
-            )
-            tokens.append(Token(CELL, TokenRole.SPECIAL, row=row, col=c))
-        return tokens[: self.max_tokens]
-
-    def serialize_tokens(self, table: Table) -> List[List[Token]]:
-        """Legacy ``List[Token]`` sequences, one per row."""
-        return [self.serialize_row_tokens(table, r) for r in range(table.num_rows)]

@@ -16,7 +16,8 @@ the BLAS forward pass.  This module replaces the object stream with a
   arrays (``piece_ids``, ``role_ids``, ``rows``, ``cols``).  Length is
   ``piece_ids.shape[0]``; truncation is a NumPy slice; anchor detection is
   a vectorized mask.  Indexing and iteration yield :class:`Token` views,
-  so object-oriented call sites (tests, ablations) keep working.
+  which tests and the float oracle (:mod:`repro.models.reference_plane`)
+  read; the encoder, aggregation and backends take ``TokenArray`` only.
 - :class:`TokenArrayBuilder` — the serializer-side accumulator.
 
 Bit-identity contract: the interner stores the *exact* float64 content
@@ -41,7 +42,7 @@ import dataclasses
 import enum
 import hashlib
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,15 +220,6 @@ class TokenInterner:
             self._filled[dim] = n
             return mat
 
-    def content_vector(self, piece: str, dim: int) -> np.ndarray:
-        """One piece's content vector (interning it if new).
-
-        Compat surface for the legacy per-token path; the hot path gathers
-        whole sequences via :meth:`content_matrix` instead.
-        """
-        pid = self.intern(piece)
-        return self.content_matrix(dim)[pid]
-
 
 #: The process-wide interner every serializer, encoder, and TokenArray
 #: shares; production code never builds a second one.  Wire-path tests
@@ -278,9 +270,8 @@ def _as_index_array(values, dtype=np.int32, lower: Optional[int] = None) -> np.n
     return arr
 
 
-# Content keys every wire payload must carry; ``digest`` is checked
-# separately so the legacy opt-out can name exactly what it skips.
-_WIRE_KEYS = ("pieces", "piece_index", "role_ids", "rows", "cols")
+# Keys every wire payload must carry.
+_WIRE_KEYS = ("pieces", "piece_index", "role_ids", "rows", "cols", "digest")
 
 
 def _wire_digest(
@@ -341,11 +332,11 @@ def _wire_field(
 class TokenArray:
     """One serialized sequence as four parallel arrays (+ Token views).
 
-    The canonical token stream of the models layer: serializers emit it,
+    The one token stream of the models layer: serializers emit it,
     encoders gather from it, aggregation reduces over it.  Sequence
-    semantics (``len``, ``[i]``, iteration, slicing) match the legacy
-    ``List[Token]`` exactly, with ``[i]`` materializing a :class:`Token`
-    view on demand and ``[a:b]`` returning a (zero-copy) ``TokenArray``.
+    semantics (``len``, ``[i]``, iteration, slicing) match a
+    ``List[Token]``, with ``[i]`` materializing a :class:`Token` view on
+    demand and ``[a:b]`` returning a (zero-copy) ``TokenArray``.
     """
 
     __slots__ = ("piece_ids", "role_ids", "rows", "cols")
@@ -367,7 +358,7 @@ class TokenArray:
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[Token]) -> "TokenArray":
-        """Columnar form of a legacy ``Token`` list (round-trips exactly)."""
+        """Columnar form of a ``Token`` list (round-trips exactly)."""
         piece_ids = INTERNER.intern_many([t.piece for t in tokens])
         return cls(
             piece_ids,
@@ -375,13 +366,6 @@ class TokenArray:
             [t.row for t in tokens],
             [t.col for t in tokens],
         )
-
-    @classmethod
-    def coerce(cls, tokens: "TokenSequence") -> "TokenArray":
-        """Pass ``TokenArray`` through; convert ``Token`` sequences."""
-        if isinstance(tokens, TokenArray):
-            return tokens
-        return cls.from_tokens(tokens)
 
     # -- sequence protocol --------------------------------------------
 
@@ -423,10 +407,6 @@ class TokenArray:
                 and np.array_equal(self.rows, other.rows)
                 and np.array_equal(self.cols, other.cols)
             )
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(
-                view == tok for view, tok in zip(self, other)
-            )
         return NotImplemented
 
     __hash__ = None  # arrays are mutable; equality is by content
@@ -434,12 +414,8 @@ class TokenArray:
     # -- views ---------------------------------------------------------
 
     def tokens(self) -> List[Token]:
-        """Materialize the legacy ``List[Token]`` view (compat API)."""
+        """Materialize the ``List[Token]`` object view."""
         return list(self)
-
-    def pieces(self) -> List[str]:
-        """Piece strings in sequence order."""
-        return INTERNER.pieces_for(self.piece_ids)
 
     @property
     def is_anchor(self) -> np.ndarray:
@@ -491,21 +467,16 @@ class TokenArray:
         }
 
     @classmethod
-    def from_wire(
-        cls, wire: Dict[str, object], *, require_digest: bool = True
-    ) -> "TokenArray":
+    def from_wire(cls, wire: Dict[str, object]) -> "TokenArray":
         """Rebuild from :meth:`to_wire` output, re-interning locally.
 
         Every field is bounds-validated *before* construction — a malformed
         payload raises ``ValueError`` with the offending field named, never
         a bare ``IndexError`` (and a negative ``piece_index`` must never
         silently alias a piece through Python indexing).  The ``digest``
-        key is mandatory: transport callers (pickle, HTTP) always produce
-        it, and a torn or mistranslated payload must never silently embed
-        as something else.  ``require_digest=False`` is the explicit
-        opt-out for trusted legacy payloads built before the digest existed
-        — content validation still runs, only the integrity check is
-        skipped.
+        key is mandatory on every path: transport callers (pickle, HTTP)
+        always produce it, and a torn or mistranslated payload must never
+        silently embed as something else.
         """
         missing = [key for key in _WIRE_KEYS if key not in wire]
         if missing:
@@ -523,25 +494,12 @@ class TokenArray:
         # payloads would otherwise leak memory per rejected request.
         # The payload is re-canonicalized (used pieces, lexicographic,
         # deduplicated) exactly as ``digest()`` would after construction.
-        expected = wire.get("digest")
-        if expected is None:
-            if require_digest:
-                raise ValueError(
-                    "token-array wire payload carries no digest; transport "
-                    "payloads must be integrity-checked (pass "
-                    "require_digest=False only for trusted legacy payloads)"
-                )
-        else:
-            index_list = piece_index.tolist()
-            used = sorted({pieces[i] for i in index_list})
-            rank = {piece: i for i, piece in enumerate(used)}
-            canonical = np.asarray(
-                [rank[pieces[i]] for i in index_list], dtype=np.int32
-            )
-            if _wire_digest(used, canonical, role_ids, rows, cols) != expected:
-                raise ValueError(
-                    "token-array wire payload failed its digest check"
-                )
+        index_list = piece_index.tolist()
+        used = sorted({pieces[i] for i in index_list})
+        rank = {piece: i for i, piece in enumerate(used)}
+        canonical = np.asarray([rank[pieces[i]] for i in index_list], dtype=np.int32)
+        if _wire_digest(used, canonical, role_ids, rows, cols) != wire["digest"]:
+            raise ValueError("token-array wire payload failed its digest check")
         local_ids = np.asarray(INTERNER.intern_many(pieces), dtype=np.int32)
         return cls(
             local_ids[piece_index] if len(piece_index) else piece_index,
@@ -569,11 +527,6 @@ class TokenArray:
 
     def _digest_of(self, pieces: List[str], piece_index: np.ndarray) -> str:
         return _wire_digest(pieces, piece_index, self.role_ids, self.rows, self.cols)
-
-
-#: What encoder/aggregation entry points accept: the native columnar form
-#: or a legacy ``Token`` sequence (coerced on entry).
-TokenSequence = Union[TokenArray, Sequence[Token]]
 
 
 class TokenArrayBuilder:
@@ -655,7 +608,7 @@ def wire_from_jsonable(payload: Dict[str, object]) -> Dict[str, object]:
     Raises ``ValueError`` on structurally broken payloads (missing keys,
     non-base64 text, byte counts that are not a whole number of elements).
     """
-    missing = [key for key in (*_WIRE_KEYS, "digest") if key not in payload]
+    missing = [key for key in _WIRE_KEYS if key not in payload]
     if missing:
         raise ValueError(f"JSON wire payload missing keys: {missing}")
     pieces = payload["pieces"]

@@ -74,21 +74,6 @@ def coords_fingerprint(coords: Iterable[Tuple[int, int]]) -> str:
     return digest.hexdigest()
 
 
-def token_array_fingerprint(tokens) -> str:
-    """Content hash of a serialized token sequence (columnar plane).
-
-    Delegates to :meth:`repro.models.token_array.TokenArray.digest`, which
-    hashes the piece *strings* (sorted-unique + inverse index) and the raw
-    provenance array bytes — canonical across processes and interner
-    states, so a wire-shipped sequence and its local rebuild fingerprint
-    identically.  This is the serialization-side key a remote encoder
-    backend caches encoded states under.
-    """
-    from repro.models.token_array import TokenArray
-
-    return TokenArray.coerce(tokens).digest()
-
-
 def cache_entry_digest(key: Sequence[str], schema_version: int) -> str:
     """Filename-safe digest of a cache key, salted by the cache schema.
 

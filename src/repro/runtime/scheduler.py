@@ -63,7 +63,6 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
-    CellExecutionError,
     CellPoisonedError,
     DeadlineExceededError,
     ObservatoryError,
@@ -723,17 +722,14 @@ class WorkStealingSweep:
 
         A worker under ``"abort"`` stops its group at the first failing
         cell and reports it as a :class:`CellFailure`, so the cells that
-        did complete are journaled before the sweep ends.
+        did complete are journaled before the sweep ends; the failure is
+        raised as :meth:`CellFailure.abort_error`, the thread engine's
+        error for the same cell.
         """
         if self.on_group_done is not None:
             self.on_group_done(list(payload["cells"]))
         if self.on_error == "abort" and payload["failures"]:
-            failure = payload["failures"][0]
-            raise CellExecutionError(
-                failure.model_name,
-                failure.property_name,
-                f"{failure.error}: {failure.message}",
-            )
+            raise payload["failures"][0].abort_error()
 
     def _merge(
         self, groups: List[WorkGroup], run: SchedulerRun, workers: int

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.telemetry as telemetry
 from repro.core.results import PropertyResult, SkippedCell
-from repro.errors import CellExecutionError, ObservatoryError
+from repro.errors import CellExecutionError, DeadlineExceededError, ObservatoryError
 from repro.models.backends.remote import TransportStats
 from repro.models.blas import blas_regime
 from repro.runtime.cache import CacheStats
@@ -221,6 +221,21 @@ class CellFailure:
         cls, model_name: str, property_name: str, exc: BaseException
     ) -> "CellFailure":
         return cls(model_name, property_name, type(exc).__name__, str(exc), cause=exc)
+
+    def abort_error(self) -> CellExecutionError:
+        """What ``on_error="abort"`` raises for this failure, on either engine.
+
+        ``CellExecutionError(model, property, "<ErrorClass>: <message>")``.
+        A failure that already is a ``CellExecutionError`` (``run_cell``
+        wraps a non-library exception so) keeps its own message rather
+        than nesting a second ``cell …/… failed:`` prefix.
+        """
+        if self.error == CellExecutionError.__name__:
+            prefix = f"cell {self.model_name}/{self.property_name} failed: "
+            detail = self.message.removeprefix(prefix)
+        else:
+            detail = f"{self.error}: {self.message}"
+        return CellExecutionError(self.model_name, self.property_name, detail)
 
     def to_jsonable(self) -> Dict[str, object]:
         return {
@@ -655,13 +670,22 @@ def _dispatch_sweep(
         try:
             # A cell that hasn't started when the budget runs out is not
             # worth starting; one already running is left to finish (cells
-            # are short relative to sweeps).
+            # are short relative to sweeps).  Under abort the expired
+            # budget raises unwrapped, as the process scheduler's does.
             deadline.check(f"cell {model_name}/{property_name}")
-            return run_cell(observatory, model_name, property_name)
-        except ObservatoryError as exc:
+        except DeadlineExceededError as exc:
             if on_error == "degrade":
                 return CellFailure.from_exception(model_name, property_name, exc)
             raise
+        try:
+            return run_cell(observatory, model_name, property_name)
+        except ObservatoryError as exc:
+            failure = CellFailure.from_exception(model_name, property_name, exc)
+            if on_error == "degrade":
+                return failure
+            if isinstance(exc, CellExecutionError):
+                raise
+            raise failure.abort_error() from exc
 
     cells: List[SweepCell] = []
     failures: List[CellFailure] = []

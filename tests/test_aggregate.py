@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.models import aggregate
-from repro.models.serializers import Token, TokenRole
+from repro.models import Token, TokenArray, TokenRole, aggregate
 from repro.text.vocab import CLS
 
 
 def build_tokens():
     """2 columns x 2 rows with headers; distinct state per token."""
-    tokens = [
+    tokens = TokenArray.from_tokens([
         Token(CLS, TokenRole.SPECIAL),
         Token("h0", TokenRole.HEADER, col=0),
         Token("h1", TokenRole.HEADER, col=1),
@@ -19,7 +18,7 @@ def build_tokens():
         Token("v01", TokenRole.VALUE, row=0, col=1),
         Token("v10", TokenRole.VALUE, row=1, col=0),
         Token("v11", TokenRole.VALUE, row=1, col=1),
-    ]
+    ])
     states = np.arange(len(tokens) * 2, dtype=float).reshape(len(tokens), 2)
     return tokens, states
 
@@ -45,12 +44,12 @@ def test_column_embeddings_values_only():
 
 
 def test_column_embeddings_cls_anchor():
-    tokens = [
+    tokens = TokenArray.from_tokens([
         Token(CLS, TokenRole.SPECIAL, col=0),
         Token("v", TokenRole.VALUE, row=0, col=0),
         Token(CLS, TokenRole.SPECIAL, col=1),
         Token("w", TokenRole.VALUE, row=0, col=1),
-    ]
+    ])
     states = np.array([[1.0, 0], [9, 9], [0, 2.0], [9, 9]])
     cols = aggregate.column_embeddings(tokens, states, 2, use_cls_anchor=True)
     assert np.allclose(cols[0], [1.0, 0])
@@ -83,7 +82,9 @@ def test_table_embedding_weights_headers():
 
 def test_table_embedding_empty_raises():
     with pytest.raises(ModelError):
-        aggregate.table_embedding([Token(CLS, TokenRole.SPECIAL)], np.ones((1, 2)))
+        aggregate.table_embedding(
+            TokenArray.from_tokens([Token(CLS, TokenRole.SPECIAL)]), np.ones((1, 2))
+        )
 
 
 def test_cell_embedding():

@@ -6,20 +6,23 @@ import threading
 
 import numpy as np
 
+from repro.models import Token, TokenArray, TokenRole
 from repro.models.backends import LocalBackend
 from repro.models.config import AttentionMask, ModelConfig, OutputNorm, PositionKind
 from repro.models.encoder import Encoder
-from repro.models.serializers import Token, TokenRole
-from repro.models.token_array import TokenArray
 from tests.conftest import cached_model, table_tokens
 
 
-def tokens_of(pieces, rows=None, cols=None, roles=None):
+def token_list(pieces, rows=None, cols=None, roles=None):
     n = len(pieces)
     rows = rows or [-1] * n
     cols = cols or [-1] * n
     roles = roles or [TokenRole.VALUE] * n
     return [Token(p, role, row=r, col=c) for p, role, r, c in zip(pieces, roles, rows, cols)]
+
+
+def tokens_of(pieces, rows=None, cols=None, roles=None):
+    return TokenArray.from_tokens(token_list(pieces, rows, cols, roles))
 
 
 BASE = ModelConfig(name="enc-test", dim=32, n_layers=2, n_heads=4)
@@ -35,7 +38,7 @@ def test_encode_shape_and_determinism():
 
 
 def test_encode_empty():
-    assert Encoder(BASE).encode([]).shape == (0, 32)
+    assert Encoder(BASE).encode(TokenArray.empty()).shape == (0, 32)
 
 
 def test_different_seed_names_differ():
@@ -58,7 +61,7 @@ def test_position_blind_config_is_permutation_equivariant():
     toks = tokens_of(["a", "b", "c", "d"])
     out = encoder.encode(toks)
     perm = [2, 0, 3, 1]
-    permuted_out = encoder.encode([toks[i] for i in perm])
+    permuted_out = encoder.encode(TokenArray.from_tokens([toks[i] for i in perm]))
     assert np.allclose(out[perm], permuted_out, atol=1e-10)
 
 
@@ -68,7 +71,7 @@ def test_absolute_positions_break_equivariance():
     toks = tokens_of(["a", "b", "c", "d"])
     out = encoder.encode(toks)
     perm = [2, 0, 3, 1]
-    permuted_out = encoder.encode([toks[i] for i in perm])
+    permuted_out = encoder.encode(TokenArray.from_tokens([toks[i] for i in perm]))
     assert not np.allclose(out[perm], permuted_out)
 
 
@@ -117,7 +120,9 @@ def test_row_local_mask():
 def test_global_specials_visible_everywhere():
     cfg = dataclasses.replace(BASE, attention_mask=AttentionMask.COLUMN_LOCAL)
     encoder = Encoder(cfg)
-    toks = [Token("[CLS]", TokenRole.SPECIAL)] + tokens_of(["a", "b"], rows=[0, 0], cols=[0, 1])
+    toks = TokenArray.from_tokens(
+        [Token("[CLS]", TokenRole.SPECIAL)] + token_list(["a", "b"], rows=[0, 0], cols=[0, 1])
+    )
     mask = encoder.attention_mask(toks)
     assert mask[1, 0] and mask[0, 1] and mask[2, 0]
 
@@ -131,10 +136,10 @@ def test_column_local_mask_blocks_context_mixing():
         position_scale=0.0,
     )
     encoder = Encoder(cfg)
-    col0 = tokens_of(["a", "b"], rows=[0, 1], cols=[0, 0])
-    with_other = col0 + tokens_of(["x", "y"], rows=[0, 1], cols=[1, 1])
-    out_alone = encoder.encode(col0)
-    out_together = encoder.encode(with_other)
+    col0 = token_list(["a", "b"], rows=[0, 1], cols=[0, 0])
+    with_other = col0 + token_list(["x", "y"], rows=[0, 1], cols=[1, 1])
+    out_alone = encoder.encode(TokenArray.from_tokens(col0))
+    out_together = encoder.encode(TokenArray.from_tokens(with_other))
     assert np.allclose(out_alone, out_together[:2], atol=1e-10)
 
 

@@ -14,9 +14,16 @@ import pytest
 from repro import Observatory, RuntimeConfig, TransportConfig
 from repro.analysis.report import render_sweep
 from repro.core.framework import DatasetSizes
-from repro.errors import CellPoisonedError, ObservatoryError, WorkerCrashError
+from repro.errors import (
+    CellExecutionError,
+    CellPoisonedError,
+    ObservatoryError,
+    RemoteEncodeError,
+    WorkerCrashError,
+)
 from repro.runtime import order_cells, resolve_execution
 from repro.runtime.cache import CacheStats
+from repro.runtime.sweep import CellFailure
 
 SIZES = DatasetSizes(
     wikitables_tables=3,
@@ -111,6 +118,34 @@ class TestTypedAbort:
         message = str(caught.value)
         assert "RemoteEncodeError" in message
         assert any(f"cell {m}/{p}" in message for m in MODELS for p in PROPS)
+
+    def test_both_engines_raise_one_error_for_one_failing_cell(self):
+        # One worker runs bert/row_order_insignificance first on either
+        # engine, so an `except` written for one engine works on both.
+        raised = {}
+        for execution in ("thread", "process"):
+            observatory = make_observatory(
+                backend="remote",
+                transport=TransportConfig(
+                    urls=("http://127.0.0.1:9",), timeout=1.0, retries=0
+                ),
+            )
+            with pytest.raises(CellExecutionError) as caught:
+                observatory.sweep(MODELS, PROPS, max_workers=1, execution=execution)
+            raised[execution] = caught.value
+        message = str(raised["thread"])
+        assert str(raised["process"]) == message
+        assert "cell bert/row_order_insignificance" in message
+        assert "RemoteEncodeError" in message
+        assert isinstance(raised["thread"].__cause__, RemoteEncodeError)
+
+    def test_a_cell_error_is_not_wrapped_twice(self):
+        # run_cell wraps a non-library exception in CellExecutionError; a
+        # process worker ships that as a named failure, which the parent
+        # raises with the thread engine's message, not a nested one.
+        original = CellExecutionError("bert", "sample_fidelity", "injected cell fault")
+        failure = CellFailure.from_exception("bert", "sample_fidelity", original)
+        assert str(failure.abort_error()) == str(original)
 
 
 class TestMergedCacheStats:

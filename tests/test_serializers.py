@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.models import Token, TokenRole
 from repro.models.serializers import (
     ColumnWiseSerializer,
     RowTemplateSerializer,
     RowWiseSerializer,
-    Token,
-    TokenRole,
 )
 from repro.relational.table import Table
 from repro.text.tokenizer import Tokenizer

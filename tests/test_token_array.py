@@ -27,11 +27,7 @@ from repro.models import aggregate, reference_plane
 from repro.models.backends import LocalBackend
 from repro.models.config import Serialization
 from repro.models.registry import available_models
-from repro.models.serializers import (
-    ColumnWiseSerializer,
-    RowTemplateSerializer,
-    RowWiseSerializer,
-)
+from repro.models.serializers import RowWiseSerializer
 from repro.models.token_array import (
     INTERNER,
     ROLE_ORDER,
@@ -81,8 +77,6 @@ def test_round_trip_tokens_to_array_and_back(tokens):
     # Indexing materializes the same views iteration does.
     for i in range(len(tokens)):
         assert ta[i] == tokens[i]
-    # Equality against the raw list (compat surface).
-    assert ta == tokens
 
 
 @settings(deadline=None, max_examples=60)
@@ -190,61 +184,15 @@ def test_content_matrix_rows_match_legacy_content_vectors():
 
 
 # ----------------------------------------------------------------------
-# Serializer equivalence: columnar emit == legacy object emit
+# Serializer output (its layout is pinned by tests/test_serializer_golden.py)
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def tokenizer():
-    return Tokenizer()
-
-
-@pytest.fixture(scope="module")
-def sample_table():
-    return Table.from_columns(
-        [
-            ("name", ["Alice Smith", "Bob Jones", "Carol White", None]),
-            ("age", [30, 41, 28, 55]),
-            ("city", ["Paris", "Lima", "Oslo", "Rome"]),
-        ],
-        caption="people of note",
-        table_id="token-array-test",
-    )
-
-
-def serializer_variants(tokenizer):
-    return [
-        RowWiseSerializer(tokenizer, 512),
-        RowWiseSerializer(tokenizer, 512, include_caption=True),
-        RowWiseSerializer(tokenizer, 512, include_header=False),
-        RowWiseSerializer(tokenizer, 48),  # hard truncation
-        ColumnWiseSerializer(tokenizer, 512),
-        ColumnWiseSerializer(tokenizer, 512, include_header=True),
-        ColumnWiseSerializer(tokenizer, 40),
-    ]
-
-
-def test_serializers_columnar_equals_object_path(tokenizer, sample_table):
-    for serializer in serializer_variants(tokenizer):
-        columnar = serializer.serialize(sample_table)
-        assert isinstance(columnar, TokenArray)
-        assert columnar.tokens() == serializer.serialize_tokens(sample_table)
-
-
-def test_row_template_columnar_equals_object_path(tokenizer, sample_table):
-    serializer = RowTemplateSerializer(tokenizer, 64)
-    arrays = serializer.serialize(sample_table)
-    objects = serializer.serialize_tokens(sample_table)
-    assert len(arrays) == len(objects) == sample_table.num_rows
-    for ta, tokens in zip(arrays, objects):
-        assert ta.tokens() == tokens
-
-
-def test_empty_table_serializes_to_empty_value_plane(tokenizer):
+def test_empty_table_serializes_to_empty_value_plane():
     from repro.relational.schema import TableSchema
 
     empty = Table(TableSchema.from_names(["a", "b"]), [])
-    ta = RowWiseSerializer(tokenizer, 64).serialize(empty)
+    ta = RowWiseSerializer(Tokenizer(), 64).serialize(empty)
     assert isinstance(ta, TokenArray)
     assert not (ta.role_ids == token_array.ROLE_VALUE).any()
 
@@ -277,12 +225,10 @@ def test_encode_bit_identical_to_reference_per_family(name):
         effective = model._effective_table(table)
         if model.config.serialization == Serialization.ROW_TEMPLATE:
             sequences = serializer.serialize(effective)
-            legacy = serializer.serialize_tokens(effective)
         else:
             sequences = [serializer.serialize(effective)]
-            legacy = [serializer.serialize_tokens(effective)]
-        for ta, tokens in zip(sequences, legacy):
-            assert ta.tokens() == tokens
+        for ta in sequences:
+            tokens = ta.tokens()
             assert np.array_equal(
                 model.encoder.embed_tokens(ta),
                 reference_plane.embed_tokens_reference(model.encoder, tokens),
@@ -335,7 +281,7 @@ def test_attention_bias_values():
             relative_tau=4.0,
         )
     )
-    a = encoder.attention_bias(table_tokens(24, 0))
+    a = encoder.attention_bias(TokenArray.from_tokens(table_tokens(24, 0)))
     idx = np.arange(24, dtype=np.float64)
     expected = -np.abs(idx[:, None] - idx[None, :]) / encoder.config.relative_tau
     assert np.array_equal(a, expected)
@@ -491,25 +437,23 @@ class TestWireHardening:
             Token("bravo", TokenRole.VALUE, row=0, col=0),
             Token("alpha", TokenRole.VALUE, row=1, col=0),
         ]
-        return TokenArray.from_tokens(tokens), TokenArray.from_tokens(tokens).to_wire()
+        return TokenArray.from_tokens(tokens).to_wire()
 
     def test_digest_is_mandatory_for_transport(self):
-        ta, wire = self._wire()
+        wire = self._wire()
         del wire["digest"]
         with pytest.raises(ValueError, match="digest"):
             TokenArray.from_wire(wire)
-        # Explicit legacy opt-out still validates content, skips integrity.
-        assert TokenArray.from_wire(wire, require_digest=False) == ta
 
     def test_missing_content_key_named(self):
-        _, wire = self._wire()
+        wire = self._wire()
         del wire["rows"]
         with pytest.raises(ValueError, match="rows"):
             TokenArray.from_wire(wire)
 
     @pytest.mark.parametrize("bad", [-1, 99])
     def test_piece_index_bounds_checked(self, bad):
-        _, wire = self._wire()
+        wire = self._wire()
         index = np.asarray(wire["piece_index"]).copy()
         index[0] = bad
         wire["piece_index"] = index
@@ -517,7 +461,7 @@ class TestWireHardening:
             TokenArray.from_wire(wire)
 
     def test_role_ids_bounds_checked(self):
-        _, wire = self._wire()
+        wire = self._wire()
         roles = np.asarray(wire["role_ids"]).astype(np.int64)
         roles[0] = len(ROLE_ORDER)
         wire["role_ids"] = roles
@@ -526,7 +470,7 @@ class TestWireHardening:
 
     @pytest.mark.parametrize("key", ["rows", "cols"])
     def test_provenance_floor_checked(self, key):
-        _, wire = self._wire()
+        wire = self._wire()
         arr = np.asarray(wire[key]).copy()
         arr[0] = -2  # only -1 means "no provenance"
         wire[key] = arr
@@ -534,7 +478,7 @@ class TestWireHardening:
             TokenArray.from_wire(wire)
 
     def test_non_integer_field_rejected(self):
-        _, wire = self._wire()
+        wire = self._wire()
         wire["rows"] = np.asarray([0.5, 1.0, 1.5])
         with pytest.raises(ValueError, match="integers"):
             TokenArray.from_wire(wire)
