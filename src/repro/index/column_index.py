@@ -11,11 +11,12 @@ modes trade latency against guarantees:
     whenever the oracle is fed :meth:`ColumnIndex.quantize`-d embeddings
     in the same insertion order.  The identity rests on three verified
     numpy facts: float32→float64 conversion is exact, elementwise row
-    normalization is layout-independent, and a matmul over a
-    concatenation of row blocks is bit-identical to one over the
-    equivalently-stacked matrix.  (A matmul over a *gathered subset* of
-    rows is **not** — BLAS blocking differs by shape — which is exactly
-    why the probe mode below carries a recall contract instead.)
+    normalization is layout-independent, and a matmul over rows folded
+    block by block into one contiguous buffer is bit-identical to one
+    over the equivalently-stacked matrix.  (A matmul over a *gathered
+    subset* of rows is **not** — BLAS blocking differs by shape — which
+    is exactly why the probe mode below carries a recall contract
+    instead.)
 
 ``probe``
     Fixed-effort scan of the partitions whose centroids score highest
@@ -24,10 +25,13 @@ modes trade latency against guarantees:
     top-k is floored at :data:`PROBE_RECALL_FLOOR` on clustered corpora
     and enforced by the test suite and CI on representative workloads.
 
-Partition plans are derived data keyed to the store generation (rebuilt
-whenever the corpus changes); the store itself owns crash safety, and
-every open checks each shard's byte sizes and sha256 digests, dropping a
-shard that fails rather than serving it.
+A handle reads each shard once, when it folds that shard into one
+growing float64 normalized matrix; an append folds only its own rows, and
+the handle keeps no shard file open.  Partition plans are built from that
+same matrix.  They are derived data keyed to the store generation
+(rebuilt whenever the corpus changes); the store itself owns crash
+safety, and every open checks each shard's byte sizes and sha256
+digests, dropping a shard that fails rather than serving it.
 """
 
 from __future__ import annotations
@@ -79,11 +83,18 @@ class ColumnIndex:
     ):
         self._directory = directory
         self._store = ShardStore(directory, dim=dim, create=create)
-        self._dense: Optional[np.ndarray] = None
-        self._dense_generation = -1
+        # Folded rows live at the front of buffers with headroom; the
+        # ``[:rows]`` views are what queries and plans read.
+        self._buffer = np.empty((0, self.dim), dtype=np.float64)
+        self._norm_buffer = np.empty(0, dtype=np.float64)
+        self._dense = self._buffer
+        self._all_norms = self._norm_buffer
         self._all_keys: List[str] = []
-        self._all_norms: Optional[np.ndarray] = None
+        self._folded_shards = 0
         self._plan: Optional[PartitionPlan] = None
+        # Cumulative rows scored by queries: every row for ``off``, the
+        # gathered candidates for ``probe``.
+        self.rows_scored = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -178,34 +189,58 @@ class ColumnIndex:
     # In-memory views
     # ------------------------------------------------------------------
 
+    def _fold(self) -> None:
+        """Fold every shard not folded yet into the normalized matrix.
+
+        Each shard is read once, here, and written as ``float64(shard) /
+        norms`` into the buffer past the current view, so earlier views
+        stay valid.  The buffer grows geometrically with 1.25x headroom:
+        one-row appends rarely reallocate, and untouched headroom is not
+        resident.
+        """
+        pending = self._store.shards[self._folded_shards:]
+        if not pending:
+            return
+        rows = self._dense.shape[0]
+        needed = rows + sum(meta.rows for meta in pending)
+        if needed > self._buffer.shape[0]:
+            capacity = max(8, needed + needed // 4)
+            buffer = np.empty((capacity, self.dim), dtype=np.float64)
+            buffer[:rows] = self._dense
+            norm_buffer = np.empty(capacity, dtype=np.float64)
+            norm_buffer[:rows] = self._all_norms
+            self._buffer, self._norm_buffer = buffer, norm_buffer
+        for meta in pending:
+            shard = self._store.matrix(meta)
+            norms = self._store.norms(meta)
+            keys = self._store.keys(meta)
+            end = rows + meta.rows
+            # float32 -> float64 is exact, so this is bit-identical to
+            # ``shard.astype(np.float64) / norms[:, None]``.
+            np.divide(shard, norms[:, None], out=self._buffer[rows:end])
+            self._norm_buffer[rows:end] = norms
+            self._all_keys.extend(keys)
+            self._dense = self._buffer[:end]
+            self._all_norms = self._norm_buffer[:end]
+            self._folded_shards += 1
+            rows = end
+
     def _ensure_dense(self) -> np.ndarray:
         """Float64 normalized corpus matrix in global row order.
 
-        Built as a concatenation of per-shard ``float64(shard) / norms``
-        blocks — bit-identical to the oracle's ``np.stack(normalized
-        rows)`` because elementwise division is layout-independent and
-        concatenated-vs-stacked matmuls agree bitwise.
+        The ``[:rows]`` view of the folded buffer: bit-identical to the
+        oracle's ``np.stack(normalized rows)`` because elementwise
+        division is layout-independent and a matmul over a contiguous
+        view agrees bitwise with one over the equivalently stacked matrix.
         """
-        if self._dense is not None and self._dense_generation == self._store.generation:
-            return self._dense
-        if not self._store.shards:
+        self._fold()
+        if not self._dense.shape[0]:
             raise ColumnIndexError("index is empty")
-        parts = []
-        keys: List[str] = []
-        norm_parts = []
-        for meta in self._store.shards:
-            shard64 = self._store.matrix(meta).astype(np.float64)
-            shard_norms = self._store.norms(meta)
-            parts.append(shard64 / shard_norms[:, None])
-            norm_parts.append(shard_norms)
-            keys.extend(self._store.keys(meta))
-        self._dense = np.concatenate(parts)
-        self._all_keys = keys
-        self._all_norms = np.concatenate(norm_parts)
-        self._dense_generation = self._store.generation
         return self._dense
 
     def _ensure_plan(self) -> PartitionPlan:
+        """The current generation's plan: loaded if persisted, else built
+        from the folded normalized matrix and persisted."""
         dense = self._ensure_dense()
         generation = self._store.generation
         if self._plan is not None and self._plan.generation == generation:
@@ -221,10 +256,7 @@ class ColumnIndex:
             if plan is not None and plan.assignments.shape[0] == dense.shape[0]:
                 self._plan = plan
                 return plan
-        raw = np.concatenate(
-            [self._store.matrix(meta).astype(np.float64) for meta in self._store.shards]
-        )
-        plan = build_plan(raw, self._all_norms, generation=generation)
+        plan = build_plan(dense, self._all_norms, generation=generation)
         payload = serialize_plan(plan)
         self._store.write_derived(path, lambda fh: fh.write(payload))
         self._plan = plan
@@ -272,6 +304,7 @@ class ColumnIndex:
         # Mirrors JoinDiscoveryIndex.lookup expression for expression.
         dense = self._ensure_dense()
         scores = dense @ unit
+        self.rows_scored += dense.shape[0]
         order = np.argsort(-scores, kind="stable")[:k]
         return [(self._all_keys[int(i)], float(scores[int(i)])) for i in order]
 
@@ -313,6 +346,7 @@ class ColumnIndex:
             member_lists.append(members)
             score_lists.append(dense[members] @ unit)
             gathered += members.size
+        self.rows_scored += gathered
         rows = np.concatenate(member_lists)
         scores = np.concatenate(score_lists)
         # (-score, row) ordering == stable argsort over the full corpus.
@@ -343,8 +377,7 @@ class ColumnIndex:
         return self._store.total_rows
 
     def keys(self) -> List[str]:
-        if self._store.total_rows and self._dense_generation != self._store.generation:
-            self._ensure_dense()
+        self._fold()
         return list(self._all_keys)
 
     def _peek_partitions(self) -> Optional[int]:
@@ -377,6 +410,7 @@ class ColumnIndex:
             "partitions": self._peek_partitions(),
             "dropped_shards": self.dropped_shards,
             "swept_files": self._store.swept_files,
+            "rows_scored": self.rows_scored,
             "prune_modes": list(PRUNE_MODES),
             "probe_recall_floor": PROBE_RECALL_FLOOR,
         }

@@ -97,15 +97,15 @@ def _kmeans(
 
 
 def build_plan(
-    matrix64: np.ndarray, norms: np.ndarray, *, generation: int
+    normalized: np.ndarray, norms: np.ndarray, *, generation: int
 ) -> PartitionPlan:
     """Compute the deterministic plan for a corpus.
 
-    ``matrix64`` is the float64 corpus (raw, un-normalized rows) in global
-    row order and ``norms`` the canonical per-row norms.
+    ``normalized`` is the float64 corpus in global row order with each
+    row already divided by its norm (the matrix the index scores), and
+    ``norms`` the canonical per-row raw norms, which pick the bands.
     """
-    rows, dim = matrix64.shape
-    normalized = matrix64 / norms[:, None]
+    rows, dim = normalized.shape
     budget = partition_budget(rows)
     rng = np.random.default_rng(hash((rows, dim, _SEED_SALT)) & 0xFFFFFFFF)
 

@@ -99,6 +99,12 @@ class ShardMeta:
 class ShardStore:
     """Append-only shard directory governed by a versioned manifest.
 
+    Shard reads (:meth:`matrix`, :meth:`norms`, :meth:`keys`) load the file
+    and close it: the store keeps no shard mapped or cached, and holds no
+    file descriptor between calls.  A reader that needs a shard again keeps
+    its own copy; :class:`~repro.index.ColumnIndex` reads each shard once,
+    when it folds it in.
+
     Args:
         directory: storage directory (created if missing).
         dim: embedding dimensionality; required when creating a fresh
@@ -124,9 +130,6 @@ class ShardStore:
         self._clock = clock
         self._lock_timeout = lock_timeout
         self._stale_age = stale_age
-        self._mmaps: Dict[str, np.ndarray] = {}
-        self._norms: Dict[str, np.ndarray] = {}
-        self._keys: Dict[str, List[str]] = {}
         os.makedirs(directory, exist_ok=True)
         manifest = self._load_or_init_manifest(dim=dim, create=create)
         self.dim: int = int(manifest["dim"])
@@ -428,22 +431,17 @@ class ShardStore:
         return sum(meta.rows for meta in self.shards)
 
     def matrix(self, meta: ShardMeta) -> np.ndarray:
-        """The shard's float32 matrix, memory-mapped read-only."""
-        if meta.name not in self._mmaps:
-            path = self._shard_paths(meta)[0]
-            self._mmaps[meta.name] = np.load(path, mmap_mode="r")
-        return self._mmaps[meta.name]
+        """The shard's float32 ``(rows, dim)`` matrix, read into memory."""
+        return np.load(self._shard_paths(meta)[0])
 
     def norms(self, meta: ShardMeta) -> np.ndarray:
-        if meta.name not in self._norms:
-            self._norms[meta.name] = np.load(self._shard_paths(meta)[1])
-        return self._norms[meta.name]
+        """The shard's canonical float64 row norms."""
+        return np.load(self._shard_paths(meta)[1])
 
     def keys(self, meta: ShardMeta) -> List[str]:
-        if meta.name not in self._keys:
-            with open(self._shard_paths(meta)[2], "r", encoding="utf-8") as handle:
-                self._keys[meta.name] = json.load(handle)["keys"]
-        return self._keys[meta.name]
+        """The shard's column keys, in row order."""
+        with open(self._shard_paths(meta)[2], "r", encoding="utf-8") as handle:
+            return json.load(handle)["keys"]
 
     def partition_path(self, generation: int) -> str:
         return os.path.join(self.directory, f"partitions-{generation:08d}.npz")

@@ -10,6 +10,7 @@ equivalence precondition (shards store float32).
 
 import os
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -99,10 +100,25 @@ def test_append_then_query_equals_build_from_scratch(
     appended = ColumnIndex.create(os.path.join(str(tmp), "appended"), DIM)
     split = split_seed % (len(rows) + 1)
     appended.append_many(zip(keys[:split], rows[:split]), shard_rows=3)
-    for key, row in zip(keys[split:], rows[split:]):
+    # A query after every append folds one shard at a time into the
+    # handle's matrix and builds each plan from it.  A handle opened on a
+    # copy of that generation folds it all at once and builds its own
+    # plan, and must answer the same.
+    for step, (key, row) in enumerate(zip(keys[split:], rows[split:])):
         appended.append(key, row)
+        snapshot = os.path.join(str(tmp), f"generation-{step}")
+        shutil.copytree(appended.directory, snapshot)
+        fresh = ColumnIndex.open(snapshot)
+        k = min(4, len(appended))
+        for prune in PRUNE_MODES:
+            assert appended.query(query, k, prune=prune) == fresh.query(
+                query, k, prune=prune
+            )
     k = min(4, len(rows))
-    assert appended.query(query, k) == built.query(query, k)
+    for prune in PRUNE_MODES:
+        assert appended.query(query, k, prune=prune) == built.query(
+            query, k, prune=prune
+        )
 
 
 @settings(deadline=None, max_examples=10)
@@ -117,6 +133,57 @@ def test_pickle_and_reopen_round_trip_bit_identically(tmp_path_factory, data):
     assert clone.query(query, k) == want
     reopened = ColumnIndex.open(index.directory)
     assert reopened.query(query, k) == want
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_appends_do_not_accumulate_file_descriptors(tmp_path):
+    rng = np.random.default_rng(4)
+    index = ColumnIndex.create(str(tmp_path / "idx"), DIM)
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(200):
+        index.append(f"k{i}", rng.normal(size=DIM))
+        index.query(np.ones(DIM), 1)
+    grown = len(os.listdir("/proc/self/fd")) - before
+    assert grown < 10, f"{grown} descriptors left open by 200 one-row appends"
+
+
+def test_append_and_plan_rebuild_reuse_the_folded_matrix(tmp_path):
+    """After the first query, an append folds only its own rows and the
+    next plan is built from the folded matrix: neither step allocates
+    another corpus-sized matrix."""
+    import tracemalloc
+
+    rows, dim = 20_000, 64
+    rng = np.random.default_rng(9)
+    corpus = rng.normal(size=(rows, dim))
+    index = ColumnIndex.build(
+        str(tmp_path / "idx"), ((f"k{i}", row) for i, row in enumerate(corpus)), dim=dim
+    )
+    query = rng.normal(size=dim)
+    index.query(query, 10)
+    matrix_bytes = rows * dim * 8
+    extra = rng.normal(size=dim)
+
+    def peak(step):
+        tracemalloc.start()
+        try:
+            step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    append_peak = peak(lambda: (index.append("extra", extra), index.query(query, 10)))
+    assert append_peak < matrix_bytes / 4, (
+        f"append + off query peaked at {append_peak}B; the corpus matrix "
+        f"is {matrix_bytes}B, so the query rebuilt it"
+    )
+    plan_peak = peak(lambda: index.query(query, 10, prune="probe"))
+    assert plan_peak < matrix_bytes, (
+        f"plan rebuild peaked at {plan_peak}B, above the {matrix_bytes}B "
+        "corpus matrix it should reuse"
+    )
 
 
 def _clustered_corpus(rng, n_clusters, per_cluster, dim=16):
@@ -175,8 +242,13 @@ def test_explicit_probes_and_min_candidates(tmp_path):
     assert not [f for f in os.listdir(index.directory) if f.startswith("partitions-")]
     narrow = index.query(query, 3, prune="probe", probes=1, min_candidates=1)
     assert len(narrow) == 3
+    # rows_scored counts the candidates a probe gathered, every row for off.
+    assert 3 <= index.rows_scored < 120
+    scored = index.rows_scored
     wide = index.query(query, 3, prune="probe", min_candidates=120)
+    assert index.rows_scored == scored + 120
     assert wide == index.query(query, 3, prune="off")
+    assert index.describe()["rows_scored"] == scored + 240
 
 
 def test_validation_errors(tmp_path):

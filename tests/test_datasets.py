@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.data import banks
+from repro.data import banks, nextiajd
 from repro.data.corpus import TableCorpus
 from repro.data.entities import EntityCatalog, QUERY_DOMAINS
-from repro.data.nextiajd import NextiaJDGenerator, Testbed, join_quality
+from repro.data.nextiajd import NextiaJDGenerator, join_quality
 from repro.data.sotab import NON_TEXTUAL_TYPES, SEMANTIC_TYPES, TEXTUAL_TYPES, SotabGenerator, is_textual_type
 from repro.data.spider import SpiderGenerator
 from repro.data.wikitables import WikiTablesGenerator
@@ -149,7 +149,7 @@ def test_join_quality_thresholds():
 
 
 def test_nextiajd_pairs_labelled_consistently():
-    pairs = NextiaJDGenerator(seed=1).generate_pairs(12, Testbed.XS)
+    pairs = NextiaJDGenerator(seed=1).generate_pairs(12, nextiajd.Testbed.XS)
     assert len(pairs) == 12
     for pair in pairs:
         assert pair.is_joinable
@@ -166,8 +166,8 @@ def test_nextiajd_pairs_labelled_consistently():
 
 
 def test_nextiajd_testbed_sizes():
-    xs = NextiaJDGenerator(seed=2).generate_pairs(4, Testbed.XS)
-    lo, hi = Testbed.XS.column_size_range
+    xs = NextiaJDGenerator(seed=2).generate_pairs(4, nextiajd.Testbed.XS)
+    lo, hi = nextiajd.Testbed.XS.column_size_range
     for pair in xs:
         assert lo <= len(pair.query_values) <= hi
 

@@ -643,6 +643,7 @@ class TestIndexPlane:
             ] == list(oracle)
             info = client.index_info(index_dir)
             assert info["rows"] == 20
+            assert info["rows_scored"] == 20  # the served handle's one off query
         finally:
             client.close()
 
